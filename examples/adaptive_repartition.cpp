@@ -57,7 +57,7 @@ int main() {
     float loss = runner->Step(model.TrainShards(runner->num_ranks(), data_rng, step));
     if ((step + 1) % 10 == 0) {
       std::printf("step %3d  loss %.3f  P=%-3d simulated %.3f s%s\n", step + 1, loss,
-                  runner->chosen_sparse_partitions(), runner->simulated_seconds(),
+                  runner->partition_plan().MaxPartitions(), runner->simulated_seconds(),
                   step + 1 == kDriftStep ? "   <- vocabulary opens up here" : "");
     }
   }

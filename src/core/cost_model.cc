@@ -9,68 +9,8 @@
 
 #include "src/base/logging.h"
 #include "src/base/stats.h"
-#include "src/base/thread_pool.h"
 
 namespace parallax {
-
-int EffectiveSearchWorkers(const SearchConcurrency& concurrency, size_t candidates) {
-  if (concurrency.pool == nullptr || candidates == 0) {
-    return 1;
-  }
-  int workers = concurrency.pool->num_threads();
-  if (concurrency.max_workers > 0) {
-    workers = std::min(workers, concurrency.max_workers);
-  }
-  workers = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(std::max(workers, 1)), candidates));
-  return std::max(workers, 1);
-}
-
-namespace {
-
-// Every point the doubling/halving sweep of SearchPartitions could visit from these
-// options, ordered for SPECULATION: the clamped initial first, then the two arms
-// interleaved by distance from it (x2, /2, x4, /4, ...). A wave of W candidates taken
-// in this order covers the next rungs of BOTH arms — the points the serial sweep is
-// most likely to request — before the far doubling rungs, which are exponentially
-// costlier to simulate (task count grows with P) and reached only on long monotone
-// runs. Prefetching the raw sweep order instead would spend a 4-wide wave on
-// {P, 2P, 4P, 8P} when the sweep usually stops after one rise.
-std::vector<int> SpeculationOrder(const PartitionSearchOptions& options) {
-  const int initial = std::clamp(options.initial_partitions, options.min_partitions,
-                                 options.max_partitions);
-  std::vector<int> up;
-  for (int p = initial * 2; p <= options.max_partitions; p *= 2) {
-    up.push_back(p);
-  }
-  std::vector<int> down;
-  for (int p = initial / 2; p >= options.min_partitions; p /= 2) {
-    down.push_back(p);
-  }
-  std::vector<int> order;
-  order.reserve(1 + up.size() + down.size());
-  order.push_back(initial);
-  for (size_t i = 0; i < std::max(up.size(), down.size()); ++i) {
-    if (i < up.size()) {
-      order.push_back(up[i]);
-    }
-    if (i < down.size()) {
-      order.push_back(down[i]);
-    }
-  }
-  return order;
-}
-
-// How many candidates one speculative wave may hold: the workers the configured
-// concurrency can actually run (never fewer than 1 so a degenerate configuration
-// still makes progress). Bounds speculative waste by the worker count — a wave never
-// reaches past what the pool could simulate concurrently anyway.
-int SpeculationLookahead(const SearchConcurrency& concurrency) {
-  constexpr size_t kLookaheadCeiling = 64;  // waves wider than this buy nothing
-  return std::max(EffectiveSearchWorkers(concurrency, kLookaheadCeiling), 1);
-}
-
-}  // namespace
 
 double CostModelFit::ContinuousOptimum() const {
   if (theta1 <= 0.0 || theta2 <= 0.0) {
@@ -186,65 +126,6 @@ PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure
   return result;
 }
 
-PartitionSearchResult SearchPartitions(const std::function<double(int)>& measure,
-                                       const UniformBatchMeasure& measure_batch,
-                                       const PartitionSearchOptions& options) {
-  // Degrade to the serial sweep when there is no batch measure — or when the
-  // configured concurrency yields single-candidate waves, which would pay the batch
-  // path's overhead (wave assembly, one batch call per memo miss) for no parallelism.
-  if (!measure_batch || SpeculationLookahead(options.concurrency) <= 1) {
-    return SearchPartitions(measure, options);
-  }
-  PX_CHECK_GE(options.min_partitions, 1);
-  PX_CHECK_GE(options.max_partitions, options.min_partitions);
-
-  const std::vector<int> order = SpeculationOrder(options);
-  const int lookahead = SpeculationLookahead(options.concurrency);
-  std::map<int, std::pair<double, bool>> memo;  // P -> (seconds, consumed)
-  BatchMeasureStats stats;
-
-  // On every memo miss, simulate the requested P plus the next lookahead-1 fresh
-  // candidates in speculation order as one batch. The sweep below then consumes the
-  // hits in its own (serial) order; early exits leave the tail of the last wave
-  // unconsumed — that is the waste, bounded per wave by lookahead - 1.
-  auto speculating_measure = [&](int p) {
-    auto it = memo.find(p);
-    if (it == memo.end()) {
-      std::vector<int> wave{p};
-      for (int q : order) {
-        if (static_cast<int>(wave.size()) >= lookahead) {
-          break;
-        }
-        if (q == p || memo.find(q) != memo.end()) {
-          continue;
-        }
-        wave.push_back(q);
-      }
-      const std::vector<double> seconds = measure_batch(wave);
-      PX_CHECK_EQ(seconds.size(), wave.size());
-      for (size_t i = 0; i < wave.size(); ++i) {
-        memo.emplace(wave[i], std::make_pair(seconds[i], false));
-      }
-      ++stats.batches;
-      stats.batched_evaluations += static_cast<int>(wave.size());
-      stats.max_batch_size =
-          std::max(stats.max_batch_size, static_cast<int>(wave.size()));
-      it = memo.find(p);
-    }
-    it->second.second = true;
-    return it->second.first;
-  };
-
-  PartitionSearchResult result = SearchPartitions(speculating_measure, options);
-  result.batch = stats;
-  for (const auto& [p, entry] : memo) {
-    if (!entry.second) {
-      ++result.batch.speculative_waste;
-    }
-  }
-  return result;
-}
-
 namespace {
 
 // Searched variables' counts, in input order.
@@ -257,37 +138,12 @@ using Placements = std::vector<std::vector<int>>;
 // so placement-oblivious searches pay nothing for the wider key.
 using PlanKey = std::pair<CountKey, Placements>;
 
-// seconds + how the entry got here. `requested` flips on the first time the serial
-// adoption logic asks for the key — that is when `evaluations` counts it, so the
-// counter matches the serial search exactly whether or not the value was prefetched.
-// Entries that stay speculative-and-unrequested are the batch's overshoot
-// (BatchMeasureStats::speculative_waste).
-struct MemoEntry {
-  double seconds = 0.0;
-  bool requested = false;
-  bool speculative = false;
-};
-
 }  // namespace
 
 PartitionPlanSearchResult SearchPartitionPlan(
     const std::function<double(const PartitionPlan&)>& measure,
     const std::vector<PartitionSearchVariable>& variables,
     const PartitionSearchOptions& options) {
-  return SearchPartitionPlan(measure, PlanBatchMeasure(), variables, options);
-}
-
-PartitionPlanSearchResult SearchPartitionPlan(
-    const std::function<double(const PartitionPlan&)>& measure,
-    const PlanBatchMeasure& measure_batch,
-    const std::vector<PartitionSearchVariable>& variables,
-    const PartitionSearchOptions& options) {
-  if (measure_batch && SpeculationLookahead(options.concurrency) <= 1) {
-    // Single-candidate waves buy nothing: drop the batch measure and run the plain
-    // serial search (the in-tree factories already return a null measure for one-lane
-    // concurrency; this guards direct callers of the batched overload).
-    return SearchPartitionPlan(measure, PlanBatchMeasure(), variables, options);
-  }
   PX_CHECK(!variables.empty()) << "per-variable search needs at least one variable";
   PX_CHECK_GE(options.min_partitions, 1);
   PX_CHECK_GE(options.max_partitions, options.min_partitions);
@@ -317,21 +173,16 @@ PartitionPlanSearchResult SearchPartitionPlan(
   };
 
   PartitionPlanSearchResult result;
-  std::map<PlanKey, MemoEntry> measured;
+  std::map<PlanKey, double> measured;
   auto measure_placed = [&](const CountKey& counts, const Placements& placements) {
     PlanKey key{counts, placements};
     auto it = measured.find(key);
     if (it != measured.end()) {
-      MemoEntry& entry = it->second;
-      if (!entry.requested) {
-        entry.requested = true;
-        ++result.evaluations;
-      }
-      return entry.seconds;
+      return it->second;
     }
     double seconds = measure(plan_of(counts, placements));
     ++result.evaluations;
-    measured.emplace(std::move(key), MemoEntry{seconds, true, false});
+    measured.emplace(std::move(key), seconds);
     return seconds;
   };
   auto measure_counts = [&](const CountKey& counts) {
@@ -344,85 +195,6 @@ PartitionPlanSearchResult SearchPartitionPlan(
     }
     return counts;
   };
-  // Speculatively simulate a wave of not-yet-measured keys in one measure_batch call
-  // and file the results as memo entries. The serial logic downstream then finds hits
-  // for the candidates it would have measured one-by-one; candidates its early exits
-  // never reach stay unrequested and are reported as waste. A no-op without a batch
-  // measure — the serial path never speculates.
-  auto prefetch = [&](const std::vector<PlanKey>& keys) {
-    if (!measure_batch) {
-      return;
-    }
-    std::vector<const PlanKey*> fresh;
-    std::vector<PartitionPlan> plans;
-    for (const PlanKey& key : keys) {
-      if (measured.find(key) != measured.end()) {
-        continue;
-      }
-      bool duplicate = false;
-      for (const PlanKey* seen : fresh) {
-        if (*seen == key) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) {
-        continue;
-      }
-      fresh.push_back(&key);
-      plans.push_back(plan_of(key.first, key.second));
-    }
-    if (plans.empty()) {
-      return;
-    }
-    const std::vector<double> seconds = measure_batch(plans);
-    PX_CHECK_EQ(seconds.size(), plans.size());
-    for (size_t i = 0; i < plans.size(); ++i) {
-      measured.emplace(*fresh[i], MemoEntry{seconds[i], false, true});
-    }
-    ++result.batch.batches;
-    result.batch.batched_evaluations += static_cast<int>(plans.size());
-    result.batch.max_batch_size =
-        std::max(result.batch.max_batch_size, static_cast<int>(plans.size()));
-  };
-  const int lookahead = SpeculationLookahead(options.concurrency);
-  // Wave speculation for one sweep: when the serial sweep is about to miss on
-  // candidate p, simulate it plus the next lookahead-1 fresh candidates of the
-  // sweep's speculation order in one batch. Bounds waste by the worker count and
-  // keeps the far (expensive, rarely visited) doubling rungs out of the waves.
-  auto wave_before = [&](const std::vector<int>& order,
-                         const std::function<CountKey(int)>& counts_of, int p) {
-    if (!measure_batch) {
-      return;
-    }
-    PlanKey requested{counts_of(p), Placements()};
-    if (measured.find(requested) != measured.end()) {
-      return;
-    }
-    std::vector<PlanKey> wave;
-    wave.push_back(std::move(requested));
-    for (int q : order) {
-      if (static_cast<int>(wave.size()) >= lookahead) {
-        break;
-      }
-      PlanKey key{counts_of(q), Placements()};
-      if (measured.find(key) != measured.end()) {
-        continue;
-      }
-      bool duplicate = false;
-      for (const PlanKey& seen : wave) {
-        if (seen == key) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) {
-        wave.push_back(std::move(key));
-      }
-    }
-    prefetch(wave);
-  };
-
   CountKey best;
   double best_seconds = 0.0;
 
@@ -444,14 +216,8 @@ PartitionPlanSearchResult SearchPartitionPlan(
   } else {
     // Phase 1 — uniform sweep: the paper's doubling/halving search over a shared P
     // (per-variable caps applied, exactly as the assigner would row-cap a uniform plan).
-    const std::vector<int> uniform_order =
-        measure_batch ? SpeculationOrder(options) : std::vector<int>();
     result.uniform = SearchPartitions(
-        [&](int p) {
-          wave_before(uniform_order, [&](int q) { return uniform_counts(q); }, p);
-          return measure_counts(uniform_counts(p));
-        },
-        options);
+        [&](int p) { return measure_counts(uniform_counts(p)); }, options);
     best = uniform_counts(result.uniform.best_partitions);
     best_seconds = measure_counts(best);
     result.uniform_seconds = best_seconds;
@@ -506,17 +272,11 @@ PartitionPlanSearchResult SearchPartitionPlan(
       PartitionSearchOptions coordinate = options;
       coordinate.initial_partitions = best[v];
       coordinate.max_partitions = cap_of(v);
-      auto coordinate_counts = [&](int p) {
-        CountKey trial = best;
-        trial[v] = clamp_count(p, v);
-        return trial;
-      };
-      const std::vector<int> coordinate_order =
-          measure_batch ? SpeculationOrder(coordinate) : std::vector<int>();
       PartitionSearchResult sweep = SearchPartitions(
           [&](int p) {
-            wave_before(coordinate_order, coordinate_counts, p);
-            return measure_counts(coordinate_counts(p));
+            CountKey trial = best;
+            trial[v] = clamp_count(p, v);
+            return measure_counts(trial);
           },
           coordinate);
       CountKey trial = best;
@@ -639,42 +399,17 @@ PartitionPlanSearchResult SearchPartitionPlan(
       if (busiest == idlest) {
         break;
       }
-      // This round's swap candidates, in scan order (bounded by max_swap_trials).
-      // They are independent given the incumbent placement, so waves of them simulate
-      // concurrently; the serial first-win scan replays over the memo, and trials
-      // past the winning one (within its wave) are the speculation the round wastes.
-      std::vector<const Piece*> round_pieces;
+      bool moved = false;
+      int trials = 0;
       for (const Piece& piece : pieces) {
         if (placed[piece.var][piece.index] != busiest) {
           continue;
         }
-        if (static_cast<int>(round_pieces.size()) >= pl.max_swap_trials) {
+        if (trials++ >= pl.max_swap_trials) {
           break;
         }
-        round_pieces.push_back(&piece);
-      }
-      auto trial_of = [&](const Piece& piece) {
         Placements trial = placed;
         trial[piece.var][piece.index] = idlest;
-        return trial;
-      };
-      bool moved = false;
-      for (size_t t = 0; t < round_pieces.size(); ++t) {
-        Placements trial = trial_of(*round_pieces[t]);
-        if (measure_batch &&
-            measured.find(PlanKey{best, trial}) == measured.end()) {
-          std::vector<PlanKey> wave;
-          wave.emplace_back(best, trial);
-          for (size_t q = t + 1;
-               q < round_pieces.size() && static_cast<int>(wave.size()) < lookahead;
-               ++q) {
-            PlanKey key{best, trial_of(*round_pieces[q])};
-            if (measured.find(key) == measured.end()) {
-              wave.push_back(std::move(key));
-            }
-          }
-          prefetch(wave);
-        }
         const double seconds = measure_placed(best, trial);
         if (seconds < placed_seconds * (1.0 - pl.swap_margin)) {
           placed = std::move(trial);
@@ -699,11 +434,6 @@ PartitionPlanSearchResult SearchPartitionPlan(
     }
   }
 
-  for (const auto& [key, entry] : measured) {
-    if (entry.speculative && !entry.requested) {
-      ++result.batch.speculative_waste;
-    }
-  }
   result.plan = plan_of(best, best_placements);
   result.seconds = best_seconds;
   return result;

@@ -81,8 +81,7 @@ class PartitionPlan {
   bool uniform() const { return overrides_.empty() && placements_.empty(); }
 
   // Largest count the plan assigns to any variable (default included). This is the
-  // honest single-number summary of a heterogeneous plan — what the deprecated
-  // chosen_sparse_partitions() accessor reports.
+  // honest single-number summary of a heterogeneous plan; exact for uniform ones.
   int MaxPartitions() const;
 
   // "P=4" for uniform plans, "{emb:16, softmax:2; default P=1}" otherwise — the form

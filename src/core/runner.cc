@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/base/strings.h"
-#include "src/core/parallel_measure.h"
 #include "src/service/planner_service.h"
 
 namespace parallax {
@@ -27,7 +26,7 @@ GraphRunner::GraphRunner(const Graph* graph, NodeId loss, const ResourceSpec& re
   }
 }
 
-void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_feeds) {
+Status GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_feeds) {
   // 1. Sample backward passes on the initial values to classify variables and measure
   //    alpha (section 5: gradient type identifies sparsity). A deferred RestoreFrom
   //    supplies the initial values instead: the sampled alphas then describe the
@@ -94,11 +93,13 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
       }
     }
     if (index < 0) {
-      std::unique_ptr<SyncEngine> engine =
-          SyncEngineRegistry::Global().Create(plan_.engines[v], env);
-      PX_CHECK(engine != nullptr) << "unknown sync engine '" << plan_.engines[v] << "'";
+      StatusOr<std::unique_ptr<SyncEngine>> engine =
+          SyncEngineRegistry::Global().CreateChecked(plan_.engines[v], env);
+      if (!engine.ok()) {
+        return engine.status();
+      }
       index = static_cast<int>(engines_.size());
-      engines_.push_back(std::move(engine));
+      engines_.push_back(std::move(engine.value()));
     }
     // The hybrid rule already produced a method consistent with the default engines;
     // overridden variables adopt the override target's model.
@@ -170,8 +171,7 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
                    << (answer.cache_hit ? " (cache hit)"
                                         : (answer.coalesced ? " (coalesced)" : ""));
     } else if (!targets.empty()) {
-      plan_search_result_ =
-          SearchPartitionPlan(measure_plan, MakeSearchBatchMeasure(search), targets, search);
+      plan_search_result_ = SearchPartitionPlan(measure_plan, targets, search);
       partition_plan_ = plan_search_result_->plan;
       search_result_ = plan_search_result_->uniform;
       PX_LOG(Info) << "partition search: plan " << partition_plan_.ToString()
@@ -180,19 +180,11 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
                    << plan_search_result_->uniform.best_partitions << " at "
                    << plan_search_result_->uniform_seconds << "s vs "
                    << plan_search_result_->seconds << "s per-variable)";
-      if (plan_search_result_->batch.batches > 0) {
-        PX_LOG(Info) << "partition search: " << plan_search_result_->batch.batched_evaluations
-                     << " candidates simulated across "
-                     << plan_search_result_->batch.batches << " parallel batches ("
-                     << plan_search_result_->batch.speculative_waste
-                     << " speculative-waste)";
-      }
     } else {
       auto measure = [&](int partitions) {
         return measure_plan(PartitionPlan::Uniform(partitions));
       };
-      search_result_ = SearchPartitions(
-          measure, MakeUniformBatchMeasure(MakeSearchBatchMeasure(search)), search);
+      search_result_ = SearchPartitions(measure, search);
       partition_plan_ = PartitionPlan::Uniform(search_result_->best_partitions);
       PX_LOG(Info) << "partition search: uniform P=" << search_result_->best_partitions
                    << " after " << search_result_->samples.size() << " sampling runs";
@@ -201,7 +193,6 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
 
   // 3c. Stamp the chosen layout onto the plan and hand it to the engines.
   plan_.variables = VariablesWithPartitions(partition_plan_);
-  plan_.sparse_partitions = partition_plan_.MaxPartitions();
   for (const std::unique_ptr<SyncEngine>& engine : engines_) {
     engine->Prepare(plan_);
   }
@@ -226,6 +217,7 @@ void GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_fee
     pending_restore_.reset();
   }
   initialized_ = true;
+  return Status::Ok();
 }
 
 IterationSimConfig GraphRunner::MakeSimConfig() const {
@@ -283,29 +275,6 @@ PartitionSearchOptions GraphRunner::SearchOptionsForCluster() const {
     search.placement.spine_bandwidth = cluster_spec_.topology.spine_bandwidth;
   }
   return search;
-}
-
-PlanBatchMeasure GraphRunner::MakeSearchBatchMeasure(const PartitionSearchOptions& options) {
-  if (options.concurrency.pool == nullptr) {
-    return PlanBatchMeasure();
-  }
-  if (search_arenas_ == nullptr) {
-    search_arenas_ = std::make_unique<ArenaPool>();
-  }
-  ParallelMeasureSpec spec;
-  spec.cluster = cluster_spec_;
-  // VariablesWithPartitions is a pure read of plan_/graph_ state that no search
-  // mutates mid-flight, so concurrent calls from pool workers are safe.
-  spec.apply_plan = [this](const PartitionPlan& plan) {
-    return VariablesWithPartitions(plan);
-  };
-  spec.gpu_compute_seconds = config_.gpu_compute_seconds;
-  spec.compute_chunks = config_.compute_chunks;
-  spec.sim_config = MakeSimConfig();
-  spec.warmup_iterations = options.warmup_iterations;
-  spec.measured_iterations = options.measured_iterations;
-  return MakeParallelPlanMeasure(std::move(spec), options.concurrency,
-                                 search_arenas_.get());
 }
 
 std::vector<PartitionSearchVariable> GraphRunner::SearchTargets() const {
@@ -496,7 +465,6 @@ void GraphRunner::Repartition(const PartitionPlan& plan) {
     }
   }
   partition_plan_ = plan;
-  plan_.sparse_partitions = partition_plan_.MaxPartitions();
   plan_.variables = std::move(next);
   for (size_t e = 0; e < engines_.size(); ++e) {
     if (engine_dirty[e]) {
@@ -595,8 +563,7 @@ Status GraphRunner::Rescale(const ResourceSpec& to) {
         best_seconds = seconds;
       }
     } else if (!targets.empty()) {
-      PartitionPlanSearchResult result = SearchPartitionPlan(
-          measure_plan, MakeSearchBatchMeasure(search), targets, search);
+      PartitionPlanSearchResult result = SearchPartitionPlan(measure_plan, targets, search);
       if (result.seconds < best_seconds) {
         best_plan = result.plan;
         best_seconds = result.seconds;
@@ -605,8 +572,7 @@ Status GraphRunner::Rescale(const ResourceSpec& to) {
       auto measure = [&](int partitions) {
         return measure_plan(PartitionPlan::Uniform(partitions));
       };
-      PartitionSearchResult result = SearchPartitions(
-          measure, MakeUniformBatchMeasure(MakeSearchBatchMeasure(search)), search);
+      PartitionSearchResult result = SearchPartitions(measure, search);
       const double seconds = measure(result.best_partitions);
       if (seconds < best_seconds) {
         best_plan = PartitionPlan::Uniform(result.best_partitions);
@@ -617,7 +583,6 @@ Status GraphRunner::Rescale(const ResourceSpec& to) {
 
   partition_plan_ = best_plan;
   plan_.variables = VariablesWithPartitions(partition_plan_);
-  plan_.sparse_partitions = partition_plan_.MaxPartitions();
   // Every engine re-Prepares: the rank count changed for all of them. AR resizes its
   // replica set around the incumbent values; PS re-splits only the variables the
   // adopted plan actually moved. Both are value-preserving, which is what makes an
@@ -844,8 +809,7 @@ void GraphRunner::MaybeAdapt() {
       // uniform sweep inside seeds it, unless warm-started). Measured-vs-measured
       // comparison on the same arena, so the hysteresis test is deterministic and
       // free of model error.
-      PartitionPlanSearchResult result = SearchPartitionPlan(
-          measure_plan, MakeSearchBatchMeasure(search), targets, search);
+      PartitionPlanSearchResult result = SearchPartitionPlan(measure_plan, targets, search);
       if (!same_layout(VariablesWithPartitions(result.plan), plan_.variables)) {
         best_plan = result.plan;
         best_seconds = result.seconds;
@@ -854,8 +818,7 @@ void GraphRunner::MaybeAdapt() {
       auto measure = [&](int partitions) {
         return measure_plan(PartitionPlan::Uniform(partitions));
       };
-      PartitionSearchResult result = SearchPartitions(
-          measure, MakeUniformBatchMeasure(MakeSearchBatchMeasure(search)), search);
+      PartitionSearchResult result = SearchPartitions(measure, search);
       PartitionPlan candidate = PartitionPlan::Uniform(result.best_partitions);
       if (!same_layout(VariablesWithPartitions(candidate), plan_.variables)) {
         best_plan = candidate;
@@ -936,7 +899,8 @@ float GraphRunner::Step(const std::vector<FeedMap>& per_rank_feeds) {
   PX_CHECK_EQ(static_cast<int>(per_rank_feeds.size()), num_ranks())
       << "one feed shard per GPU replica";
   if (!initialized_) {
-    InitializeFromSamples(per_rank_feeds);
+    const Status status = InitializeFromSamples(per_rank_feeds);
+    PX_CHECK(status.ok()) << status.ToString();
   }
 
   bool sequential = !engines_.empty();

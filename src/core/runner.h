@@ -52,7 +52,6 @@
 #include "src/core/transform.h"
 #include "src/graph/checkpoint.h"
 #include "src/graph/executor.h"
-#include "src/sim/arena_pool.h"
 
 namespace parallax {
 
@@ -206,10 +205,6 @@ class GraphRunner {
   // once a PartitionPlan was searched, passed via WithPartitionPlan, or adopted by the
   // adaptive loop.
   const PartitionPlan& partition_plan() const { return partition_plan_; }
-  // DEPRECATED single-number summary: the max partition count over the plan. Exact for
-  // uniform plans; a heterogeneous plan cannot be described by one int — read
-  // partition_plan() instead.
-  int chosen_sparse_partitions() const { return partition_plan_.MaxPartitions(); }
   const std::optional<PartitionSearchResult>& partition_search() const { return search_result_; }
   // The per-variable search's full result (plan, measured seconds, uniform baseline).
   // Set only when the startup search ran in PartitionSearchMode::kPerVariable.
@@ -238,7 +233,9 @@ class GraphRunner {
   VariableStore WorkerView() const;
 
  private:
-  void InitializeFromSamples(const std::vector<FeedMap>& per_rank_feeds);
+  // Sampling, routing, engine construction, the startup search and engine Prepare. An
+  // engine the registry cannot create comes back as CreateChecked's Status.
+  Status InitializeFromSamples(const std::vector<FeedMap>& per_rank_feeds);
   // Union of every engine's View() — tensors may share engine buffers (valid until the
   // next ApplyStep/Prepare), which is exactly the lifetime the step path needs.
   VariableStore ComposeView() const;
@@ -278,11 +275,6 @@ class GraphRunner {
   // outcome; alphas are the plan's current (startup-sampled or monitor-measured) ones.
   PlannerQuery MakePlannerQuery(const PartitionSearchOptions& options,
                                 const std::vector<PartitionSearchVariable>& targets) const;
-  // The batch-measure callback the private searches hand to the batched overloads —
-  // candidates fan out over options.concurrency's pool, one leased arena per worker
-  // (search_arenas_, created on first use). Null (= serial search) when no pool is
-  // configured; results are bit-identical either way (cost_model.h).
-  PlanBatchMeasure MakeSearchBatchMeasure(const PartitionSearchOptions& options);
   // Creates the sparsity monitor and attaches it to the engines, when the config asks
   // for adaptive partitioning and the plan has monitorable variables.
   void MaybeStartMonitor();
@@ -321,10 +313,6 @@ class GraphRunner {
   // One arena for the partition search and the training-time timing plane: cached
   // collective schedules and task storage persist for the runner's lifetime.
   std::unique_ptr<SimulationArena> sim_arena_;
-  // Extra arenas for parallel candidate evaluation (WithSearchConcurrency), created
-  // lazily on the first concurrent search and kept warm across startup/adaptive/
-  // rescale re-searches.
-  std::unique_ptr<ArenaPool> search_arenas_;
   std::unique_ptr<IterationSimulator> timing_;
   std::unique_ptr<Cluster> cluster_;
   double simulated_seconds_ = 0.0;

@@ -29,7 +29,6 @@ void AsyncPsEngine::Prepare(const SyncPlan& plan) {
   // The inner engine must manage the variables routed to *this* engine's name, so the
   // plan is translated into an explicit config instead of forwarding Prepare.
   PsNumericConfig config;
-  config.sparse_partitions = plan.sparse_partitions;
   config.variable_partitions.reserve(plan.variables.size());
   for (const VariableSync& sync : plan.variables) {
     config.variable_partitions.push_back(sync.partitions);

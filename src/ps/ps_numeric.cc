@@ -74,7 +74,6 @@ PsNumericEngine::PsNumericEngine(const Graph* graph, PsNumericConfig config)
 
 void PsNumericEngine::Prepare(const SyncPlan& plan) {
   PsNumericConfig config;
-  config.sparse_partitions = plan.sparse_partitions;
   // The plan's layout is per variable: each entry already carries its own (row-capped)
   // partition count, which is what the shards are split from.
   config.variable_partitions.reserve(plan.variables.size());

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "src/base/logging.h"
-#include "src/core/parallel_measure.h"
 #include "src/core/partition_plan.h"
 
 namespace parallax {
@@ -124,9 +123,6 @@ uint64_t ResourcesFingerprint(const PlannerQuery& query) {
   return h;
 }
 
-// Deliberately excludes o.concurrency: parallel candidate evaluation is bit-identical
-// to serial (cost_model.h), so keying on it would split identical searches — and the
-// service substitutes its own pool regardless of what the query carries.
 uint64_t OptionsFingerprint(const PartitionSearchOptions& o) {
   uint64_t h = 0x6f7074696f6e73ull;  // "options"
   h = Mix(h, static_cast<uint64_t>(o.initial_partitions));
@@ -242,57 +238,28 @@ CachedPlan PlannerService::Search(const PlannerQuery& query) {
     return sim.MeasureIterationSeconds(query.options.warmup_iterations,
                                        query.options.measured_iterations);
   };
-  // Candidate batches fan out over the service's own pool and arena pool — whatever
-  // concurrency the query carried is replaced (a tenant's pool pointer means nothing
-  // service-side, and results do not depend on it). The substituted concurrency also
-  // sizes the searches' speculation waves. Under PlanMany the fan-out lane already
-  // occupies the pool, so the nested batch runs inline (thread_pool.h) — query-level
-  // and candidate-level parallelism share the same lanes.
-  PartitionSearchOptions options = query.options;
-  options.concurrency = SearchConcurrency{pool_.get(), 0};
-  ParallelMeasureSpec spec;
-  spec.cluster = query.cluster;
-  spec.apply_plan = [&query](const PartitionPlan& plan) {
-    return ApplyPlanToVariables(query.variables, plan);
-  };
-  spec.gpu_compute_seconds = query.gpu_compute_seconds;
-  spec.compute_chunks = query.compute_chunks;
-  spec.sim_config = query.sim_config;
-  spec.warmup_iterations = query.options.warmup_iterations;
-  spec.measured_iterations = query.options.measured_iterations;
-  PlanBatchMeasure measure_batch = MakeParallelPlanMeasure(
-      std::move(spec), SearchConcurrency{pool_.get(), 0}, &arenas_);
-
   CachedPlan cached;
-  BatchMeasureStats batch;
   if (!query.targets.empty()) {
     PartitionPlanSearchResult result =
-        SearchPartitionPlan(measure_plan, measure_batch, query.targets, options);
+        SearchPartitionPlan(measure_plan, query.targets, query.options);
     cached.plan = result.plan;
     cached.seconds = result.seconds;
     cached.uniform_seconds = result.uniform_seconds;
     cached.best_uniform_partitions = result.uniform.best_partitions;
     cached.evaluations = result.evaluations;
     cached.uniform = false;
-    batch = result.batch;
   } else {
     auto measure = [&](int partitions) {
       return measure_plan(PartitionPlan::Uniform(partitions));
     };
-    PartitionSearchResult result = SearchPartitions(
-        measure, MakeUniformBatchMeasure(measure_batch), options);
+    PartitionSearchResult result = SearchPartitions(measure, query.options);
     cached.plan = PartitionPlan::Uniform(result.best_partitions);
     cached.seconds = measure(result.best_partitions);
     cached.uniform_seconds = cached.seconds;
     cached.best_uniform_partitions = result.best_partitions;
     cached.evaluations = static_cast<int>(result.samples.size());
     cached.uniform = true;
-    batch = result.batch;
   }
-  batched_evaluations_.fetch_add(static_cast<uint64_t>(batch.batched_evaluations),
-                                 std::memory_order_relaxed);
-  speculative_waste_.fetch_add(static_cast<uint64_t>(batch.speculative_waste),
-                               std::memory_order_relaxed);
   return cached;
 }
 
@@ -328,9 +295,8 @@ PlannerResult PlannerService::Plan(const PlannerQuery& original) {
   if (!owner) {
     coalesced_.fetch_add(1, std::memory_order_relaxed);
     // Safe to block here even from a PlanMany pool lane: the owner is by definition
-    // already executing on some thread, never coalesces itself, and its candidate
-    // batches always make progress because a ParallelFor submitter drains its own
-    // batch regardless of how many pool lanes sit blocked here (thread_pool.h).
+    // already executing on some thread, never coalesces itself, and its search is
+    // serial — it needs no pool lane to finish.
     std::unique_lock<std::mutex> lock(flight->mu);
     flight->cv.wait(lock, [&] { return flight->done; });
     PlannerResult result = ResultFrom(flight->result);
@@ -374,7 +340,7 @@ std::vector<PlannerResult> PlannerService::PlanMany(const std::vector<PlannerQue
   }
   // Fan the representatives across the shared pool — no per-call thread spawn/join.
   // Workers clamp to min(distinct queries, pool lanes) via the chunk grain; each
-  // lane's searches still run their own candidate batches (inline, thread_pool.h).
+  // lane runs its searches serially.
   const int64_t total = static_cast<int64_t>(representatives.size());
   auto plan_range = [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
@@ -409,8 +375,6 @@ PlannerServiceStats PlannerService::stats() const {
   stats.coalesced = coalesced_.load(std::memory_order_relaxed);
   stats.pooled_arenas = arenas_.pooled();
   stats.total_arenas = arenas_.total();
-  stats.batched_evaluations = batched_evaluations_.load(std::memory_order_relaxed);
-  stats.speculative_waste = speculative_waste_.load(std::memory_order_relaxed);
   return stats;
 }
 

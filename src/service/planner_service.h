@@ -17,13 +17,9 @@
 //      search instead of simulating again; PlanMany batches a whole query set, running
 //      one search per distinct key across the service's shared ThreadPool and fanning
 //      results back out.
-//   4. Intra-search parallelism — every cache miss (single Plan or PlanMany alike)
-//      runs the batched partition search: candidate layouts are simulated concurrently
-//      on the shared pool, one leased arena per worker, and the serial adoption logic
-//      replays over the results, so the answer stays bit-identical to a serial search
-//      (cost_model.h). A query's own options.concurrency is ignored — the service
-//      substitutes its pool, and since concurrency never changes results it is
-//      excluded from the options fingerprint.
+//
+// Each search itself is serial (cost_model.h): one leased arena, one candidate at a
+// time. Parallelism comes only from running distinct queries side by side.
 //
 // Runners opt in with RunnerBuilder::WithPlanner(service). The private-arena path
 // remains the default and the bit-for-bit oracle the service is tested against.
@@ -58,11 +54,10 @@ struct PlannerServiceOptions {
   // Arenas retained in the free pool when idle. Checkout past this still succeeds (the
   // pool grows on demand); the excess is dropped on release instead of pooled.
   size_t max_pooled_arenas = 16;
-  // Lanes of the service's shared ThreadPool — PlanMany's query fan-out and every
-  // search's candidate batches both run on it (min(queries, lanes) workers for the
-  // former; a fan-out lane's nested candidate batch runs inline, thread_pool.h).
-  // 0 = one lane per hardware thread (uncapped — the fan-out scales to the machine);
-  // 1 = fully serial (no pool is created).
+  // Lanes of the service's shared ThreadPool, which sizes only PlanMany's fan-out
+  // across distinct queries (min(queries, lanes) workers); every search runs serially
+  // on its calling thread. 0 = one lane per hardware thread (uncapped — the fan-out
+  // scales to the machine); 1 = fully serial (no pool is created).
   int max_workers = 0;
 };
 
@@ -108,10 +103,7 @@ struct PlannerServiceStats {
   uint64_t coalesced = 0;  // queries that piggybacked on another query's search
   size_t pooled_arenas = 0;
   size_t total_arenas = 0;  // pooled + checked out
-  // Intra-search parallelism observability, summed over every search performed:
-  // candidates simulated speculatively in batches, and how many of them the serial
-  // replay never consumed (cost_model.h BatchMeasureStats). Zero when max_workers
-  // leaves the service serial.
+  // No longer populated; kept for source compatibility. Both always read 0.
   uint64_t batched_evaluations = 0;
   uint64_t speculative_waste = 0;
 };
@@ -131,10 +123,9 @@ class PlannerService {
   // Thread-safe; deterministic given the query (cache_hit/coalesced flags aside).
   PlannerResult Plan(const PlannerQuery& query);
 
-  // Batched front-end: one search per distinct key, fanned across worker threads so a
-  // batch's candidate simulations run concurrently on distinct pooled arenas;
-  // duplicate queries share their representative's result. results[i] answers
-  // queries[i].
+  // Batched front-end: one search per distinct key, fanned across worker threads so
+  // distinct searches run concurrently on distinct pooled arenas; duplicate queries
+  // share their representative's result. results[i] answers queries[i].
   std::vector<PlannerResult> PlanMany(const std::vector<PlannerQuery>& queries);
 
   // Snaps every alpha (variables' spec.alpha and targets' alpha) to its bucket
@@ -161,9 +152,8 @@ class PlannerService {
     CachedPlan result;           // guarded by mu; valid once done
   };
 
-  // Runs the actual (per-variable or uniform) search for a canonicalized query on a
-  // leased arena, with candidate batches fanned across pool_ (serial when the service
-  // has no pool). Pure compute: takes no service lock.
+  // Runs the actual (per-variable or uniform) search for a canonicalized query,
+  // serially on a leased arena. Pure compute: takes no service lock.
   CachedPlan Search(const PlannerQuery& query);
 
   const PlannerServiceOptions options_;
@@ -178,15 +168,13 @@ class PlannerService {
   // Arena pool (internally synchronized) — checkouts never contend with the query
   // path's lock.
   ArenaPool arenas_;
-  // Shared worker pool for PlanMany fan-out and intra-search candidate batches.
-  // Null when options_.max_workers resolves to one lane (fully serial service).
+  // Shared worker pool for PlanMany's fan-out. Null when options_.max_workers
+  // resolves to one lane (fully serial service).
   std::unique_ptr<ThreadPool> pool_;
 
   std::atomic<uint64_t> queries_{0};
   std::atomic<uint64_t> searches_{0};
   std::atomic<uint64_t> coalesced_{0};
-  std::atomic<uint64_t> batched_evaluations_{0};
-  std::atomic<uint64_t> speculative_waste_{0};
 };
 
 // Applies a searched plan to the query's base variables: partitioner-controlled

@@ -3,16 +3,16 @@
 // SimulationArena (src/core/iteration_sim.h) is deliberately single-threaded: one
 // simulating thread owns the task storage, schedule cache, and scratch tables at a
 // time. Anything that simulates concurrently therefore needs one arena per worker.
-// This pool is the one mechanism that hands them out — extracted from PlannerService
-// so standalone searches (GraphRunner's parallel candidate batches,
-// src/core/parallel_measure.h) and the service share it:
+// PlannerService hands them out from this pool: concurrent Plan calls and PlanMany's
+// fan-out lanes each lease one arena for their (serial) search, and the
+// service's max_workers sizes only that fan-out.
 //
 //   - Acquire() never blocks on a busy arena: the pool grows on demand, so N
 //     concurrent leases simply mean N arenas exist.
 //   - Release (the Lease destructor) retains up to `max_pooled` arenas for reuse;
 //     the excess is destroyed. Reused arenas keep their warm task storage and
 //     collective-schedule caches, so steady-state acquire/simulate/release cycles
-//     allocate nothing (tests/parallel_search_test.cc).
+//     allocate nothing (tests/planner_service_test.cc).
 //
 // The pool must outlive every lease. Leases are move-only; the arena pointer stays
 // stable for the lease's lifetime.

@@ -19,7 +19,6 @@ Int8PsEngine::Int8PsEngine(const Graph* graph, Int8PsConfig config)
 
 void Int8PsEngine::Prepare(const SyncPlan& plan) {
   PsNumericConfig config;
-  config.sparse_partitions = plan.sparse_partitions;
   config.variable_partitions.reserve(plan.variables.size());
   config.variable_placements.reserve(plan.variables.size());
   for (const VariableSync& sync : plan.variables) {

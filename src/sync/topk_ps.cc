@@ -25,7 +25,6 @@ void TopKPsEngine::Prepare(const SyncPlan& plan) {
   // Same translation as the async wrapper: the inner engine must manage the variables
   // routed to *this* engine's registry name.
   PsNumericConfig config;
-  config.sparse_partitions = plan.sparse_partitions;
   config.variable_partitions.reserve(plan.variables.size());
   config.variable_placements.reserve(plan.variables.size());
   for (const VariableSync& sync : plan.variables) {

@@ -195,7 +195,7 @@ AdaptiveRun TrainDriftingLm(uint64_t seed, int steps, int64_t drift_step,
     run.losses.push_back(runner.value()->Step(model.TrainShards(4, rng, step)));
   }
   run.simulated_seconds = runner.value()->simulated_seconds();
-  run.chosen_partitions = runner.value()->chosen_sparse_partitions();
+  run.chosen_partitions = runner.value()->partition_plan().MaxPartitions();
   run.repartitions = runner.value()->adaptive_repartitions();
   if (const SparsityMonitor* monitor = runner.value()->sparsity_monitor()) {
     run.trail = monitor->trail();
@@ -299,13 +299,13 @@ TEST(AdaptiveRunnerTest, HysteresisSuppressesFlappingUnderNoisyAlpha) {
   Rng rng(91);
   const int initial_partitions = [&] {
     runner.value()->Step(model.TrainShards(4, rng, 0));
-    return runner.value()->chosen_sparse_partitions();
+    return runner.value()->partition_plan().MaxPartitions();
   }();
   for (int step = 1; step < 30; ++step) {
     runner.value()->Step(model.TrainShards(4, rng, step));
   }
   EXPECT_EQ(runner.value()->adaptive_repartitions(), 0);
-  EXPECT_EQ(runner.value()->chosen_sparse_partitions(), initial_partitions);
+  EXPECT_EQ(runner.value()->partition_plan().MaxPartitions(), initial_partitions);
   const SparsityMonitor* monitor = runner.value()->sparsity_monitor();
   ASSERT_NE(monitor, nullptr);
   EXPECT_GE(monitor->trail().size(), 1u);  // drift was seen...
@@ -370,7 +370,7 @@ TEST(PerVariablePlanTest, SkewedModelAdoptsHeterogeneousPlanBeatingBestUniform) 
   EXPECT_LE(hot, 2) << "hot embedding wants (nearly) whole";
   EXPECT_GE(wide, 6) << "wide table wants many pieces";
   // The deprecated single-number accessor reports the max over the plan.
-  EXPECT_EQ(runner.value()->chosen_sparse_partitions(), plan.MaxPartitions());
+  EXPECT_EQ(runner.value()->partition_plan().MaxPartitions(), plan.MaxPartitions());
   // The adopted counts flow into the SyncPlan (and so into every engine's shards).
   for (const VariableSync& sync : runner.value()->assignment()) {
     if (sync.spec.name == "hot_embedding") {

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/base/stats.h"
 #include "src/base/status.h"
 #include "src/base/strings.h"
+#include "src/base/thread_pool.h"
 
 namespace parallax {
 namespace {
@@ -196,6 +200,80 @@ TEST(StringsTest, GlobMatch) {
   EXPECT_FALSE(GlobMatch("softmax_emb", "emb*"));
   EXPECT_FALSE(GlobMatch("abc", ""));
   EXPECT_TRUE(GlobMatch("", ""));
+}
+
+TEST(ThreadPoolTest, NestedParallelForOnSamePoolRunsInline) {
+  ThreadPool pool(3);
+  constexpr int kOuter = 4;
+  constexpr int kInner = 8;
+  std::vector<int> values(kOuter * kInner, 0);
+  pool.ParallelFor(kOuter, 1, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      // The nested call must run inline on this lane instead of deadlocking on the
+      // pool's submission lock.
+      pool.ParallelFor(kInner, 1, [&](int64_t ib, int64_t ie) {
+        for (int64_t j = ib; j < ie; ++j) {
+          values[i * kInner + j] = static_cast<int>(i * kInner + j);
+        }
+      });
+    }
+  });
+  for (int i = 0; i < kOuter * kInner; ++i) {
+    ASSERT_EQ(values[i], i);
+  }
+}
+
+// Regression for the PlanMany/Plan coalescing deadlock: a ParallelFor body that
+// blocks waiting on work another thread can only finish via its own ParallelFor on
+// the same pool. Submission must not serialize behind a running batch — the second
+// submitter has to drain its own batch even with pool lanes occupied/blocked.
+TEST(ThreadPoolTest, BlockedBatchDoesNotGateConcurrentSubmitters) {
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool outer_running = false;  // guarded by mu
+  bool release = false;        // guarded by mu
+  std::thread blocked([&] {
+    pool.ParallelFor(2, 1, [&](int64_t begin, int64_t) {
+      if (begin == 0) {
+        std::unique_lock<std::mutex> lock(mu);
+        outer_running = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+      }
+    });
+  });
+  {
+    // Make sure the blocked batch is published and occupying a lane before the
+    // second submission — the old design held the submission lock across execution
+    // and would deadlock from here on.
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return outer_running; });
+  }
+  std::vector<int> out(8, 0);
+  pool.ParallelFor(8, 1, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      out[i] = static_cast<int>(i) + 1;
+    }
+  });
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(out[i], i + 1);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  blocked.join();
+}
+
+TEST(ThreadPoolTest, DefaultWorkerCountFallsBackAndClamps) {
+  const int workers = DefaultWorkerCount();
+  EXPECT_GE(workers, 1);  // hardware_concurrency()==0 must not produce 0 lanes
+  EXPECT_LE(workers, 16);
+  EXPECT_EQ(DefaultWorkerCount(1), 1);
+  EXPECT_LE(DefaultWorkerCount(4), 4);
+  EXPECT_GE(DefaultWorkerCount(4), 1);
 }
 
 }  // namespace

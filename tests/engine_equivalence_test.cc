@@ -192,7 +192,7 @@ void ExpectBitIdenticalToLegacy(GraphRunner& runner, WordLmModel& model, int num
     (plan.engines[v] == "ps" ? ps_vars : ar_vars).push_back(static_cast<int>(v));
   }
   LegacyRunnerReference legacy(model.graph(), model.loss(), num_ranks, ranks_per_machine,
-                               runner.chosen_sparse_partitions(), ps_vars, ar_vars, lr);
+                               runner.partition_plan().MaxPartitions(), ps_vars, ar_vars, lr);
 
   for (int s = 0; s < steps; ++s) {
     float loss_new = s == 0 ? first_loss : runner.Step(shards[static_cast<size_t>(s)]);
@@ -393,7 +393,7 @@ TEST(EngineEquivalenceTest, HeterogeneousPlanBitIdenticalToUniformRunRepartition
   // Both runners now hold the same per-variable layout, and the plan's counts reached
   // the SyncPlan entries (row caps would apply, but 90 rows > 7 pieces).
   for (const GraphRunner* runner : {planned.get(), uniform.get()}) {
-    EXPECT_EQ(runner->chosen_sparse_partitions(), 7);  // deprecated: max over plan
+    EXPECT_EQ(runner->partition_plan().MaxPartitions(), 7);
     for (const VariableSync& sync : runner->assignment()) {
       if (sync.spec.name == "embedding") {
         EXPECT_EQ(sync.partitions, 3);

@@ -34,11 +34,18 @@ VariableSync PsVar(int64_t elements, bool sparse, double alpha, int partitions =
 // 1-worker-per-machine setting of the paper's analysis. Parameterized over
 // (N machines, m variables, sparse?, alpha).
 struct Table3Case {
+  Table3Case(int n, int m, bool is_sparse, double a)
+      : machines(n), num_variables(m), sparse(is_sparse), alpha(a) {}
   int machines;
   int num_variables;
   bool sparse;
+  // gtest prints a parameter that has no PrintTo as its raw bytes, and CTest's test
+  // discovery makes that text part of the test name. Implicit padding would print
+  // whatever the stack held; a named, zeroed member keeps the names stable.
+  char zero_padding[7] = {};
   double alpha;
 };
+static_assert(sizeof(Table3Case) == 24, "Table3Case must have no implicit padding");
 
 class Table3PsTest : public ::testing::TestWithParam<Table3Case> {};
 

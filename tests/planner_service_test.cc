@@ -7,10 +7,20 @@
 //    search separately,
 //  - LRU eviction respects the configured capacity,
 //  - ApplyPlanToVariables replicates the runner's row-cap/placement gate,
+//  - PlanMany answers each query exactly as a per-query Plan would, and the service's
+//    worker count never changes an answer,
+//  - a warm ArenaPool checkout/return and a warmed leased-arena simulation iteration
+//    perform zero heap allocations,
 //  - a runner using the shared planner trains bit-identically to a private-search
 //    runner (monitored and unmonitored alike).
+//
+// Allocation counting replaces global operator new/delete for this binary; the
+// counters are only inspected inside explicit single-threaded windows.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -18,9 +28,42 @@
 #include "src/core/api.h"
 #include "src/models/trainable.h"
 #include "src/service/planner_service.h"
+#include "src/sim/arena_pool.h"
+
+namespace {
+std::atomic<size_t> g_alloc_count{0};
+}  // namespace
+
+// GCC pairs the replaced operator new (malloc-backed) with the replaced operator
+// delete (free-backed) across inlining and then warns about the very pairing these
+// replacements establish; the combination is intentional.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace parallax {
 namespace {
+
+size_t AllocCount() { return g_alloc_count.load(std::memory_order_relaxed); }
 
 ClusterSpec TinySpec() {
   ClusterSpec spec;
@@ -262,6 +305,94 @@ TEST(PlannerServiceTest, ArenaPoolGrowsOnDemandAndRetainsUpToCap) {
   EXPECT_NE(reused.get(), nullptr);
   EXPECT_EQ(service.stats().total_arenas, 2u);
   EXPECT_EQ(service.stats().pooled_arenas, 1u);
+}
+
+// ---- pooled searches ----
+// PlanMany fan-out and the service's worker pool. These keep the ParallelSearchTest
+// suite name they have always been reported under.
+
+TEST(ParallelSearchTest, PlannerServicePlanManyMatchesPerQueryPlans) {
+  PlannerServiceOptions options;
+  options.max_workers = 4;
+  PlannerService service(options);
+
+  std::vector<PlannerQuery> queries;
+  for (double alpha : {0.02, 0.1, 0.3, 0.02}) {  // one duplicate key
+    queries.push_back(MakeQuery(alpha));
+  }
+  std::vector<PlannerResult> batched = service.PlanMany(queries);
+  ASSERT_EQ(batched.size(), queries.size());
+
+  PlannerService reference;  // defaults; answers must match regardless of its workers
+  for (size_t i = 0; i < queries.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    PlannerResult single = reference.Plan(queries[i]);
+    ExpectPlansIdentical(batched[i].plan, single.plan);
+    EXPECT_EQ(batched[i].seconds, single.seconds);
+    EXPECT_EQ(batched[i].uniform_seconds, single.uniform_seconds);
+  }
+  // The duplicate coalesced onto its representative's search.
+  EXPECT_EQ(service.stats().searches, 3u);
+}
+
+TEST(ParallelSearchTest, PlannerServiceParallelPlanMatchesSerialServiceAndOracle) {
+  PlannerServiceOptions pooled_options;
+  pooled_options.max_workers = 4;
+  PlannerService pooled(pooled_options);
+  PlannerServiceOptions serial_options;
+  serial_options.max_workers = 1;
+  PlannerService serial(serial_options);
+
+  PlannerQuery query = MakeQuery(0.02);
+  PlannerResult from_pooled = pooled.Plan(query);
+  PlannerResult from_serial = serial.Plan(query);
+  ExpectPlansIdentical(from_pooled.plan, from_serial.plan);
+  EXPECT_EQ(from_pooled.seconds, from_serial.seconds);
+  EXPECT_EQ(from_pooled.uniform_seconds, from_serial.uniform_seconds);
+  EXPECT_EQ(from_pooled.evaluations, from_serial.evaluations);
+
+  PlannerQuery canonical = query;
+  pooled.Canonicalize(&canonical);
+  PartitionPlanSearchResult oracle = PrivateSearch(canonical);
+  ExpectPlansIdentical(from_pooled.plan, oracle.plan);
+  EXPECT_EQ(from_pooled.seconds, oracle.seconds);
+  EXPECT_EQ(from_pooled.evaluations, oracle.evaluations);
+
+  // Every search is serial: the source-compatibility counters stay at zero.
+  for (const PlannerService* service : {&pooled, &serial}) {
+    EXPECT_EQ(service->stats().batched_evaluations, 0u);
+    EXPECT_EQ(service->stats().speculative_waste, 0u);
+  }
+}
+
+TEST(ParallelSearchTest, WarmArenaCheckoutAndSimulationAreAllocationFree) {
+  ArenaPool arenas;
+  const PlannerQuery query = MakeQuery(0.02);
+  Cluster cluster(query.cluster);
+  SimTime t = 0.0;
+  {
+    ArenaPool::Lease lease = arenas.Acquire();  // grows the pool: allocates
+    IterationSimulator sim(query.cluster,
+                           ApplyPlanToVariables(query.variables, PartitionPlan::Uniform(16)),
+                           query.gpu_compute_seconds, query.compute_chunks,
+                           query.sim_config, lease.get());
+    t = sim.SimulateIteration(cluster, t);
+    t = sim.SimulateIteration(cluster, t);  // warm: task storage + schedule cache built
+
+    const size_t before = AllocCount();
+    t = sim.SimulateIteration(cluster, t);
+    EXPECT_EQ(AllocCount() - before, 0u)
+        << "warmed leased-arena simulation iteration allocated";
+  }  // release pools the arena (and reserves the free-list slot)
+
+  const size_t before = AllocCount();
+  {
+    ArenaPool::Lease lease = arenas.Acquire();  // pops the pooled arena
+    EXPECT_NE(lease.get(), nullptr);
+  }  // returns it to the reserved slot
+  EXPECT_EQ(AllocCount() - before, 0u) << "warm arena checkout/return allocated";
+  EXPECT_EQ(arenas.pooled(), 1u);
+  EXPECT_EQ(arenas.total(), 1u);
 }
 
 // ---- runner integration ----

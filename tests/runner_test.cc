@@ -71,7 +71,7 @@ TEST(RunnerTest, PartitionSearchRunsForPartitionerScopedVariables) {
   runner.Step(model.TrainShards(4, rng));
   ASSERT_TRUE(runner.partition_search().has_value());
   EXPECT_GE(runner.partition_search()->samples.size(), 2u);
-  EXPECT_GE(runner.chosen_sparse_partitions(), 1);
+  EXPECT_GE(runner.partition_plan().MaxPartitions(), 1);
 }
 
 TEST(RunnerTest, ManualPartitionsRespected) {
@@ -82,7 +82,7 @@ TEST(RunnerTest, ManualPartitionsRespected) {
   GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(2, 2), config);
   Rng rng(64);
   runner.Step(model.TrainShards(4, rng));
-  EXPECT_EQ(runner.chosen_sparse_partitions(), 6);
+  EXPECT_EQ(runner.partition_plan().MaxPartitions(), 6);
   EXPECT_FALSE(runner.partition_search().has_value());
   for (const VariableSync& sync : runner.assignment()) {
     if (sync.method == SyncMethod::kPs && sync.spec.name == "embedding") {

@@ -40,11 +40,11 @@ TEST(SyncEngineRegistryTest, BuiltinsAreRegistered) {
 TEST(SyncEngineRegistryTest, CreateNamesTheEngineAndRejectsUnknown) {
   WordLmModel model(SmallLm(920));
   SyncEngineEnv env{model.graph(), 4};
-  std::unique_ptr<SyncEngine> engine = SyncEngineRegistry::Global().Create("ps", env);
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->name(), "ps");
-  EXPECT_EQ(engine->CostMethod(GradKind::kSparse), SyncMethod::kPs);
-  EXPECT_EQ(SyncEngineRegistry::Global().Create("does_not_exist", env), nullptr);
+  auto engine = SyncEngineRegistry::Global().CreateChecked("ps", env);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine.value()->name(), "ps");
+  EXPECT_EQ(engine.value()->CostMethod(GradKind::kSparse), SyncMethod::kPs);
+  EXPECT_FALSE(SyncEngineRegistry::Global().CreateChecked("does_not_exist", env).ok());
 }
 
 TEST(SyncEngineRegistryTest, CreateCheckedNamesTheUnknownEngineAndTheAlternatives) {
@@ -74,9 +74,9 @@ TEST(SyncEngineRegistryTest, DuplicateRegistrationIsRejectedWithTheOffendingName
   // The original registration is untouched.
   WordLmModel model(SmallLm(932));
   SyncEngineEnv env{model.graph(), 2};
-  auto engine = SyncEngineRegistry::Global().Create("ps", env);
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->CostMethod(GradKind::kSparse), SyncMethod::kPs);
+  auto engine = SyncEngineRegistry::Global().CreateChecked("ps", env);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine.value()->CostMethod(GradKind::kSparse), SyncMethod::kPs);
 }
 
 TEST(SyncEngineRegistryTest, RejectsEmptyNameAndNullFactory) {
@@ -210,7 +210,7 @@ TEST(RepartitionTest, RePrepareSwapsPartitionsAndPreservesValues) {
 
   runner.value()->Repartition(5);
 
-  EXPECT_EQ(runner.value()->chosen_sparse_partitions(), 5);
+  EXPECT_EQ(runner.value()->partition_plan().MaxPartitions(), 5);
   VariableStore after = runner.value()->WorkerView();
   for (size_t v = 0; v < model.graph()->variables().size(); ++v) {
     EXPECT_TRUE(AllClose(before.Get(static_cast<int>(v)), after.Get(static_cast<int>(v)),
@@ -345,8 +345,10 @@ TEST(SyncEngineInterfaceTest, PreparedEnginesExposeManagedViews) {
   plan.num_ranks = 2;
 
   SyncEngineEnv env{model.graph(), 2};
-  auto ps = SyncEngineRegistry::Global().Create("ps", env);
-  auto ar = SyncEngineRegistry::Global().Create("ar", env);
+  std::unique_ptr<SyncEngine> ps =
+      std::move(SyncEngineRegistry::Global().CreateChecked("ps", env).value());
+  std::unique_ptr<SyncEngine> ar =
+      std::move(SyncEngineRegistry::Global().CreateChecked("ar", env).value());
   ps->Prepare(plan);
   ar->Prepare(plan);
   VariableStore ps_view = ps->View();
@@ -398,7 +400,7 @@ TEST(PartitionPlanShimTest, IntEntryPointsAreExactUniformPlanShims) {
   EXPECT_EQ(via_int->partition_plan(), via_plan->partition_plan());
   EXPECT_TRUE(via_int->partition_plan().uniform());
   EXPECT_EQ(via_int->partition_plan().default_partitions(), 3);
-  EXPECT_EQ(via_int->chosen_sparse_partitions(), 3);
+  EXPECT_EQ(via_int->partition_plan().MaxPartitions(), 3);
   ASSERT_EQ(via_int->assignment().size(), via_plan->assignment().size());
   for (size_t v = 0; v < via_int->assignment().size(); ++v) {
     EXPECT_EQ(via_int->assignment()[v].partitions, via_plan->assignment()[v].partitions);
