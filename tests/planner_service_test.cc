@@ -12,7 +12,8 @@
 //  - a warm ArenaPool checkout/return and a warmed leased-arena simulation iteration
 //    perform zero heap allocations,
 //  - a runner using the shared planner trains bit-identically to a private-search
-//    runner (monitored and unmonitored alike).
+//    runner (monitored and unmonitored alike), and with exact-alpha keys its adaptive
+//    verdicts and rescale trail match the private runner's too.
 //
 // Allocation counting replaces global operator new/delete for this binary; the
 // counters are only inspected inside explicit single-threaded windows.
@@ -29,6 +30,7 @@
 #include "src/models/trainable.h"
 #include "src/service/planner_service.h"
 #include "src/sim/arena_pool.h"
+#include "tests/drift_scenario.h"
 
 namespace {
 std::atomic<size_t> g_alloc_count{0};
@@ -469,6 +471,101 @@ TEST(PlannerServiceRunnerTest, MonitoredSharedPlannerRunnerMatchesUnmonitoredPri
     float a = plain.Step(model_plain.TrainShards(4, rng_a));
     float b = monitored.Step(model_monitored.TrainShards(4, rng_b));
     EXPECT_EQ(a, b) << "step " << step;
+  }
+}
+
+// One drifting-LM session through adaptive re-searches and a 4 -> 2 -> 4 rescale: the
+// loss curve, the simulated clock and both decision trails.
+struct ElasticRun {
+  std::vector<float> losses;
+  double simulated_seconds = 0.0;
+  std::vector<AdaptationVerdict> verdicts;
+  std::vector<RescaleEvent> rescales;
+};
+
+enum class ElasticSearch { kUniform, kPerVariable, kPlacedOnTwoRacks };
+
+ElasticRun TrainElasticDriftingLm(ElasticSearch search,
+                                  std::shared_ptr<PlannerService> planner) {
+  WordLmModel model(DriftingLm(31, 12));
+  RunnerBuilder builder(model.graph(), model.loss());
+  AdaptivePartitioningPolicy policy;
+  policy.check_interval = 2;
+  policy.warmup_steps = 4;
+  builder.WithResources(ResourceSpec::Homogeneous(4, 1))
+      .WithLearningRate(0.3f)
+      .WithSyncCosts(AccumulationDominatedCosts())
+      .WithCompute(2e-3, 4)
+      .WithSearch({.warmup_iterations = 2, .measured_iterations = 2})
+      .WithAdaptivePartitioning(policy);
+  if (search != ElasticSearch::kUniform) {
+    builder.WithSearchMode(PartitionSearchMode::kPerVariable);
+  }
+  if (search == ElasticSearch::kPlacedOnTwoRacks) {
+    ClusterSpec hardware = ClusterSpec::Paper();
+    hardware.topology.num_racks = 2;
+    builder.WithHardware(hardware).WithPlacementSearch();
+  }
+  if (planner != nullptr) {
+    builder.WithPlanner(std::move(planner));
+  }
+  StatusOr<std::unique_ptr<GraphRunner>> built = builder.Build();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  GraphRunner& runner = *built.value();
+  ElasticRun run;
+  Rng rng(31);
+  int64_t step = 0;
+  auto train = [&](int steps) {
+    for (int i = 0; i < steps; ++i, ++step) {
+      run.losses.push_back(
+          runner.Step(model.TrainShards(runner.num_ranks(), rng, step)));
+    }
+  };
+  train(30);
+  EXPECT_TRUE(runner.Rescale(ResourceSpec::Homogeneous(2, 1)).ok());
+  EXPECT_TRUE(runner.Rescale(ResourceSpec::Homogeneous(4, 1)).ok());
+  train(6);
+  run.simulated_seconds = runner.simulated_seconds();
+  if (const SparsityMonitor* monitor = runner.sparsity_monitor()) {
+    run.verdicts = monitor->trail();
+  }
+  run.rescales = runner.rescale_trail();
+  return run;
+}
+
+TEST(PlannerServiceRunnerTest, PlannerRoutedAdaptAndRescaleMatchPrivateRunner) {
+  // With exact-alpha keys (alpha_quantum 0) the service searches at the runner's own
+  // alphas, so every planner-routed search — startup, MaybeAdapt and both Rescales —
+  // must leave the same trail as the private runner, double for double.
+  for (ElasticSearch search : {ElasticSearch::kUniform, ElasticSearch::kPerVariable,
+                               ElasticSearch::kPlacedOnTwoRacks}) {
+    SCOPED_TRACE(static_cast<int>(search));
+    auto service = std::make_shared<PlannerService>(
+        PlannerServiceOptions{.alpha_quantum = 0.0, .max_workers = 1});
+    const ElasticRun routed = TrainElasticDriftingLm(search, service);
+    const ElasticRun own = TrainElasticDriftingLm(search, nullptr);
+    EXPECT_EQ(routed.losses, own.losses);
+    EXPECT_EQ(routed.simulated_seconds, own.simulated_seconds);
+    ASSERT_EQ(routed.verdicts.size(), own.verdicts.size());
+    ASSERT_FALSE(own.verdicts.empty());
+    int adoptions = 0;
+    for (size_t i = 0; i < own.verdicts.size(); ++i) {
+      EXPECT_TRUE(routed.verdicts[i].best_plan == own.verdicts[i].best_plan) << i;
+      EXPECT_EQ(routed.verdicts[i].best_seconds, own.verdicts[i].best_seconds) << i;
+      EXPECT_EQ(routed.verdicts[i].current_seconds, own.verdicts[i].current_seconds) << i;
+      EXPECT_EQ(routed.verdicts[i].adopted, own.verdicts[i].adopted) << i;
+      adoptions += own.verdicts[i].adopted ? 1 : 0;
+    }
+    EXPECT_GE(adoptions, 1);
+    ASSERT_EQ(routed.rescales.size(), 2u);
+    ASSERT_EQ(own.rescales.size(), 2u);
+    for (size_t i = 0; i < own.rescales.size(); ++i) {
+      EXPECT_TRUE(routed.rescales[i].to_plan == own.rescales[i].to_plan) << i;
+      EXPECT_EQ(routed.rescales[i].incumbent_seconds, own.rescales[i].incumbent_seconds)
+          << i;
+      EXPECT_EQ(routed.rescales[i].adopted_seconds, own.rescales[i].adopted_seconds) << i;
+    }
+    EXPECT_GE(service->stats().searches, 3u);
   }
 }
 
