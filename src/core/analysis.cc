@@ -73,7 +73,7 @@ std::vector<VariableSync> AssignGraphVariables(
                          : 1;
       sync.partitions = RowCappedPartitions(plan.For(sync.spec.name), rows);
       // Placement rides along only when its length survives the row cap (same gate as
-      // GraphRunner::VariablesWithPartitions — the two appliers must agree).
+      // ApplyPlanToVariables — the two appliers must agree).
       const std::vector<int>* placement = plan.PlacementFor(sync.spec.name);
       if (placement != nullptr &&
           static_cast<int>(placement->size()) == sync.partitions) {

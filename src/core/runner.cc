@@ -45,17 +45,7 @@ Status GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_f
   cluster_spec_ = resources_.ToClusterSpec(config_.hardware);
   HybridOptions hybrid{config_.alpha_dense_threshold};
 
-  // 2. Partition search over the simulated training loop (section 3.2). The measure
-  //    function runs short training at candidate P; Equation 1 is fitted over the
-  //    samples and the best predicted P is adopted.
-  bool has_partitioned_sparse = false;
-  for (size_t v = 0; v < graph_->variables().size(); ++v) {
-    if (graph_->variables()[v].partitioner_scope &&
-        sparsity_.at(static_cast<int>(v)).kind == GradKind::kSparse) {
-      has_partitioned_sparse = true;
-    }
-  }
-  // 3a. The SyncPlan's routing and methods — established BEFORE the search, because
+  // 2. The SyncPlan's routing and methods — established BEFORE the search, because
   //     they do not depend on partition counts and the search must simulate the
   //     methods that will actually run (an engine override can move a variable off
   //     PS entirely, which changes what is worth partitioning). Hybrid assignment,
@@ -118,80 +108,28 @@ Status GraphRunner::InitializeFromSamples(const std::vector<FeedMap>& per_rank_f
             sparsity_.at(static_cast<int>(v)).kind);
   }
 
-  // 3b. The partition search (uniform or per-variable), simulating candidate layouts
-  //     over the routed methods fixed above.
+  // 3a. The partition search (section 3.2; uniform or per-variable), simulating
+  //     candidate layouts over the routed methods fixed above. Skipped when routing
+  //     left no sparse variable on PS: there is nothing to partition.
   partition_plan_ = config_.manual_plan.has_value()
                         ? *config_.manual_plan
                         : PartitionPlan::Uniform(std::max(config_.manual_partitions, 1));
   sim_arena_ = std::make_unique<SimulationArena>();
-  if (config_.auto_partition && has_partitioned_sparse) {
-    PartitionSearchOptions search = SearchOptionsForCluster();
-    search.initial_partitions = cluster_spec_.num_machines;
-    IterationSimConfig sim_config = MakeSimConfig();
-    // Every sampled layout gets a fresh simulator over the shared arena: task storage
-    // and cached collective schedules persist across the whole search, so the thousands
-    // of simulated iterations behind the search run allocation-free in steady state.
-    auto measure_plan = [&](const PartitionPlan& plan) {
-      IterationSimulator sim(cluster_spec_, VariablesWithPartitions(plan),
-                             config_.gpu_compute_seconds, config_.compute_chunks,
-                             sim_config, sim_arena_.get());
-      return sim.MeasureIterationSeconds(search.warmup_iterations,
-                                         search.measured_iterations);
-    };
-    std::vector<PartitionSearchVariable> targets;
-    if (config_.search_mode == PartitionSearchMode::kPerVariable) {
-      targets = SearchTargets();
-    }
-    if (config_.planner != nullptr) {
-      // Shared planning service: the search (or a memoized twin of it) runs on a
-      // pooled arena, coalesced with identical queries from other tenants. The
-      // introspection results a private search would have filled are synthesized from
-      // the service's answer.
-      PlannerResult answer = config_.planner->Plan(MakePlannerQuery(search, targets));
-      partition_plan_ = answer.plan;
-      if (!answer.uniform) {
-        PartitionPlanSearchResult synth;
-        synth.plan = answer.plan;
-        synth.seconds = answer.seconds;
-        synth.uniform_seconds = answer.uniform_seconds;
-        synth.uniform.best_partitions = answer.best_uniform_partitions;
-        synth.uniform.predicted_seconds = answer.uniform_seconds;
-        synth.evaluations = answer.evaluations;
-        plan_search_result_ = synth;
-        search_result_ = synth.uniform;
-      } else {
-        PartitionSearchResult synth;
-        synth.best_partitions = answer.best_uniform_partitions;
-        synth.predicted_seconds = answer.seconds;
-        search_result_ = synth;
-      }
-      PX_LOG(Info) << "partition search (shared planner): plan "
-                   << partition_plan_.ToString() << " after " << answer.evaluations
-                   << " sampling runs"
-                   << (answer.cache_hit ? " (cache hit)"
-                                        : (answer.coalesced ? " (coalesced)" : ""));
-    } else if (!targets.empty()) {
-      plan_search_result_ = SearchPartitionPlan(measure_plan, targets, search);
-      partition_plan_ = plan_search_result_->plan;
-      search_result_ = plan_search_result_->uniform;
-      PX_LOG(Info) << "partition search: plan " << partition_plan_.ToString()
-                   << " after " << plan_search_result_->evaluations
-                   << " sampling runs (best uniform P="
-                   << plan_search_result_->uniform.best_partitions << " at "
-                   << plan_search_result_->uniform_seconds << "s vs "
-                   << plan_search_result_->seconds << "s per-variable)";
-    } else {
-      auto measure = [&](int partitions) {
-        return measure_plan(PartitionPlan::Uniform(partitions));
-      };
-      search_result_ = SearchPartitions(measure, search);
-      partition_plan_ = PartitionPlan::Uniform(search_result_->best_partitions);
-      PX_LOG(Info) << "partition search: uniform P=" << search_result_->best_partitions
-                   << " after " << search_result_->samples.size() << " sampling runs";
+  if (config_.auto_partition && HasSearchTargets()) {
+    const PlannerQuery query = MakePlannerQuery(cluster_spec_.num_machines);
+    PartitionPlanSearchResult result = AnswerQuery(query);
+    partition_plan_ = result.plan;
+    search_result_ = result.uniform;
+    PX_LOG(Info) << "partition search: plan " << partition_plan_.ToString() << " after "
+                 << result.evaluations << " sampling runs (best uniform P="
+                 << result.uniform.best_partitions << " at " << result.uniform_seconds
+                 << "s vs " << result.seconds << "s adopted)";
+    if (!query.targets.empty()) {
+      plan_search_result_ = std::move(result);
     }
   }
 
-  // 3c. Stamp the chosen layout onto the plan and hand it to the engines.
+  // 3b. Stamp the chosen layout onto the plan and hand it to the engines.
   plan_.variables = VariablesWithPartitions(partition_plan_);
   for (const std::unique_ptr<SyncEngine>& engine : engines_) {
     engine->Prepare(plan_);
@@ -239,103 +177,106 @@ void GraphRunner::RebuildTimingPlane() {
 
 std::vector<VariableSync> GraphRunner::VariablesWithPartitions(
     const PartitionPlan& plan) const {
-  std::vector<VariableSync> variables = plan_.variables;
-  for (size_t v = 0; v < variables.size(); ++v) {
+  return ApplyPlanToVariables(PlannerVariables(), plan);
+}
+
+bool GraphRunner::IsSearchTarget(size_t v) const {
+  return graph_->variables()[v].partitioner_scope &&
+         sparsity_.at(static_cast<int>(v)).kind == GradKind::kSparse &&
+         plan_.variables[v].method == SyncMethod::kPs;
+}
+
+bool GraphRunner::HasSearchTargets() const {
+  for (size_t v = 0; v < plan_.variables.size(); ++v) {
+    if (IsSearchTarget(v)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<PlannerVariable> GraphRunner::PlannerVariables() const {
+  std::vector<PlannerVariable> variables;
+  variables.reserve(plan_.variables.size());
+  for (size_t v = 0; v < plan_.variables.size(); ++v) {
     // Same per-variable gate as AssignGraphVariables: partitioner-scoped PS-family
     // variables split up to their row count.
-    if (variables[v].method == SyncMethod::kPs &&
-        graph_->variables()[v].partitioner_scope) {
-      int64_t rows = graph_->variables()[v].shape.rank() >= 1
-                         ? graph_->variables()[v].shape.dim(0)
-                         : 1;
-      variables[v].partitions = RowCappedPartitions(plan.For(variables[v].spec.name), rows);
-      // A placement rides along only when its length survives the row cap — a vector
-      // sized for a count the cap rejected is stale intent, and stamping it would make
-      // ResolveShardServers ignore it anyway. Clearing otherwise keeps a placement
-      // from an older plan from outliving the plan that carried it.
-      const std::vector<int>* placement = plan.PlacementFor(variables[v].spec.name);
-      if (placement != nullptr &&
-          static_cast<int>(placement->size()) == variables[v].partitions) {
-        variables[v].placement = *placement;
-      } else {
-        variables[v].placement.clear();
-      }
-    }
-  }
-  return variables;
-}
-
-PartitionSearchOptions GraphRunner::SearchOptionsForCluster() const {
-  PartitionSearchOptions search = config_.search;
-  if (config_.search_placement) {
-    search.placement.enabled = true;
-    search.placement.num_machines = cluster_spec_.num_machines;
-    search.placement.num_racks = cluster_spec_.topology.num_racks;
-    search.placement.nic_bandwidth = cluster_spec_.nic_bandwidth;
-    search.placement.spine_bandwidth = cluster_spec_.topology.spine_bandwidth;
-  }
-  return search;
-}
-
-std::vector<PartitionSearchVariable> GraphRunner::SearchTargets() const {
-  // plan_.variables carries the routed method and the current (startup-sampled or
-  // monitor-measured) alpha for every variable by the time any search runs, so the
-  // targets reflect what will actually execute — including engine overrides that
-  // moved a variable off PS.
-  std::vector<PartitionSearchVariable> targets;
-  for (size_t v = 0; v < graph_->variables().size(); ++v) {
-    const VariableDef& def = graph_->variables()[v];
-    const VariableSparsity& info = sparsity_.at(static_cast<int>(v));
-    if (!def.partitioner_scope || info.kind != GradKind::kSparse ||
-        plan_.variables[v].method != SyncMethod::kPs) {
-      continue;
-    }
-    PartitionSearchVariable target;
-    target.name = def.name;
-    target.alpha = plan_.variables[v].spec.alpha;
-    target.num_elements = info.num_elements;
-    target.max_partitions = def.shape.rank() >= 1 ? def.shape.dim(0) : 1;
-    // Warm-start bookkeeping for adaptive re-searches: the count the variable holds
-    // now, and whether its measured alpha moved past the drift threshold since the
-    // last re-anchor. Without a monitor every variable counts as drifted, which
-    // disables the warm start (the conservative default).
-    target.previous_partitions = plan_.variables[v].partitions;
-    if (monitor_ != nullptr && monitor_->Tracks(static_cast<int>(v))) {
-      const double baseline = monitor_->baseline_alpha(static_cast<int>(v));
-      const double drift =
-          std::abs(monitor_->measured_alpha(static_cast<int>(v)) - baseline) /
-          std::max(baseline, 1e-12);
-      target.drifted = drift >= monitor_->policy().drift_threshold;
-    }
-    targets.push_back(std::move(target));
-  }
-  return targets;
-}
-
-PlannerQuery GraphRunner::MakePlannerQuery(
-    const PartitionSearchOptions& options,
-    const std::vector<PartitionSearchVariable>& targets) const {
-  PlannerQuery query;
-  query.variables.reserve(plan_.variables.size());
-  for (size_t v = 0; v < plan_.variables.size(); ++v) {
     PlannerVariable variable;
     variable.sync = plan_.variables[v];
-    // Same predicate as VariablesWithPartitions: these are the variables whose
-    // partitions/placement the searched plan will override (row-capped).
     variable.partitioned = plan_.variables[v].method == SyncMethod::kPs &&
                            graph_->variables()[v].partitioner_scope;
     variable.rows = graph_->variables()[v].shape.rank() >= 1
                         ? graph_->variables()[v].shape.dim(0)
                         : 1;
-    query.variables.push_back(std::move(variable));
+    variables.push_back(std::move(variable));
   }
-  query.targets = targets;
+  return variables;
+}
+
+PlannerQuery GraphRunner::MakePlannerQuery(int initial_partitions) const {
+  PlannerQuery query;
+  query.variables = PlannerVariables();
+  if (config_.search_mode == PartitionSearchMode::kPerVariable) {
+    // plan_.variables carries the routed method and the current (startup-sampled or
+    // monitor-measured) alpha for every variable by the time any search runs, so the
+    // targets reflect what will actually execute — including engine overrides that
+    // moved a variable off PS.
+    for (size_t v = 0; v < plan_.variables.size(); ++v) {
+      if (!IsSearchTarget(v)) {
+        continue;
+      }
+      PartitionSearchVariable target;
+      target.name = graph_->variables()[v].name;
+      target.alpha = plan_.variables[v].spec.alpha;
+      target.num_elements = sparsity_.at(static_cast<int>(v)).num_elements;
+      target.max_partitions = query.variables[v].rows;
+      // Warm-start bookkeeping for adaptive re-searches: the count the variable holds
+      // now, and whether its measured alpha moved past the drift threshold since the
+      // last re-anchor. Without a monitor every variable counts as drifted, which
+      // disables the warm start (the conservative default).
+      target.previous_partitions = plan_.variables[v].partitions;
+      if (monitor_ != nullptr && monitor_->Tracks(static_cast<int>(v))) {
+        const double baseline = monitor_->baseline_alpha(static_cast<int>(v));
+        const double drift =
+            std::abs(monitor_->measured_alpha(static_cast<int>(v)) - baseline) /
+            std::max(baseline, 1e-12);
+        target.drifted = drift >= monitor_->policy().drift_threshold;
+      }
+      query.targets.push_back(std::move(target));
+    }
+  }
   query.cluster = cluster_spec_;
   query.sim_config = MakeSimConfig();
   query.gpu_compute_seconds = config_.gpu_compute_seconds;
   query.compute_chunks = config_.compute_chunks;
-  query.options = options;
+  query.options = config_.search;
+  query.options.initial_partitions = initial_partitions;
+  if (config_.search_placement) {
+    query.options.placement.enabled = true;
+    query.options.placement.num_machines = cluster_spec_.num_machines;
+    query.options.placement.num_racks = cluster_spec_.topology.num_racks;
+    query.options.placement.nic_bandwidth = cluster_spec_.nic_bandwidth;
+    query.options.placement.spine_bandwidth = cluster_spec_.topology.spine_bandwidth;
+  }
   return query;
+}
+
+PartitionPlanSearchResult GraphRunner::AnswerQuery(const PlannerQuery& query) {
+  if (config_.planner == nullptr) {
+    return SearchPlan(query, sim_arena_.get());
+  }
+  // Shared planning service: the search (or a memoized twin of it) ran on a pooled
+  // arena at the bucket-representative alphas. The fields a private search would have
+  // filled are synthesized from the service's answer; samples and the fit stay empty.
+  const PlannerResult answer = config_.planner->Plan(query);
+  PartitionPlanSearchResult result;
+  result.plan = answer.plan;
+  result.seconds = answer.seconds;
+  result.uniform_seconds = answer.uniform_seconds;
+  result.uniform.best_partitions = answer.best_uniform_partitions;
+  result.uniform.predicted_seconds = answer.uniform_seconds;
+  result.evaluations = answer.evaluations;
+  return result;
 }
 
 double GraphRunner::MigrationSeconds(const std::vector<VariableSync>& to) const {
@@ -526,58 +467,18 @@ Status GraphRunner::Rescale(const ResourceSpec& to) {
 
   // Re-search against the NEW topology, adopting the result only if it simulates
   // faster there than the incumbent layout does — the incumbent never loses to its
-  // own re-search, so adopted_seconds <= incumbent_seconds by construction.
-  auto measure_plan = [&](const PartitionPlan& plan) {
-    IterationSimulator sim(cluster_spec_, VariablesWithPartitions(plan),
-                           config_.gpu_compute_seconds, config_.compute_chunks,
-                           MakeSimConfig(), sim_arena_.get());
-    return sim.MeasureIterationSeconds(config_.search.warmup_iterations,
-                                       config_.search.measured_iterations);
-  };
-  const double incumbent_seconds = measure_plan(partition_plan_);
+  // own re-search, so adopted_seconds <= incumbent_seconds by construction. Both are
+  // priced on this runner's own clock, whoever searched.
+  const PlannerQuery query = MakePlannerQuery(cluster_spec_.num_machines);
+  const double incumbent_seconds = MeasurePlan(query, partition_plan_, sim_arena_.get());
   PartitionPlan best_plan = partition_plan_;
   double best_seconds = incumbent_seconds;
-  bool has_partitioned_sparse = false;
-  for (size_t v = 0; v < plan_.variables.size(); ++v) {
-    has_partitioned_sparse =
-        has_partitioned_sparse ||
-        (graph_->variables()[v].partitioner_scope &&
-         sparsity_.at(static_cast<int>(v)).kind == GradKind::kSparse &&
-         plan_.variables[v].method == SyncMethod::kPs);
-  }
-  if (config_.auto_partition && has_partitioned_sparse) {
-    PartitionSearchOptions search = SearchOptionsForCluster();
-    search.initial_partitions = cluster_spec_.num_machines;
-    std::vector<PartitionSearchVariable> targets;
-    if (config_.search_mode == PartitionSearchMode::kPerVariable) {
-      targets = SearchTargets();
-    }
-    if (config_.planner != nullptr) {
-      // The service searched at the bucket-representative alphas; re-measure its plan
-      // locally at the exact ones so the best-of against the incumbent stays
-      // apples-to-apples on this runner's own clock.
-      PlannerResult answer = config_.planner->Plan(MakePlannerQuery(search, targets));
-      const double seconds = measure_plan(answer.plan);
-      if (seconds < best_seconds) {
-        best_plan = answer.plan;
-        best_seconds = seconds;
-      }
-    } else if (!targets.empty()) {
-      PartitionPlanSearchResult result = SearchPartitionPlan(measure_plan, targets, search);
-      if (result.seconds < best_seconds) {
-        best_plan = result.plan;
-        best_seconds = result.seconds;
-      }
-    } else {
-      auto measure = [&](int partitions) {
-        return measure_plan(PartitionPlan::Uniform(partitions));
-      };
-      PartitionSearchResult result = SearchPartitions(measure, search);
-      const double seconds = measure(result.best_partitions);
-      if (seconds < best_seconds) {
-        best_plan = PartitionPlan::Uniform(result.best_partitions);
-        best_seconds = seconds;
-      }
+  if (config_.auto_partition && HasSearchTargets()) {
+    const PartitionPlan candidate = AnswerQuery(query).plan;
+    const double seconds = MeasurePlan(query, candidate, sim_arena_.get());
+    if (seconds < best_seconds) {
+      best_plan = candidate;
+      best_seconds = seconds;
     }
   }
 
@@ -757,14 +658,10 @@ void GraphRunner::MaybeAdapt() {
   }
 
   // Re-search over the shared arena: every candidate replays cached schedules and
-  // reuses task storage, so the whole search costs milliseconds (docs/perf.md).
-  auto measure_plan = [&](const PartitionPlan& plan) {
-    IterationSimulator sim(cluster_spec_, VariablesWithPartitions(plan),
-                           config_.gpu_compute_seconds, config_.compute_chunks,
-                           MakeSimConfig(), sim_arena_.get());
-    return sim.MeasureIterationSeconds(config_.search.warmup_iterations,
-                                       config_.search.measured_iterations);
-  };
+  // reuses task storage, so the whole search costs milliseconds (docs/perf.md). The
+  // candidate — searched here or by the shared planner at its bucket alphas — is
+  // priced at the measured alphas on the same arena, so the hysteresis test is
+  // measured-vs-measured, deterministic and free of model error.
   auto same_layout = [](const std::vector<VariableSync>& a,
                         const std::vector<VariableSync>& b) {
     for (size_t v = 0; v < a.size(); ++v) {
@@ -774,56 +671,26 @@ void GraphRunner::MaybeAdapt() {
     }
     return true;
   };
-  const double current_seconds = measure_plan(partition_plan_);
+  PlannerQuery query = MakePlannerQuery(partition_plan_.MaxPartitions());
+  const double current_seconds = MeasurePlan(query, partition_plan_, sim_arena_.get());
   PartitionPlan best_plan = partition_plan_;
   double best_seconds = current_seconds;
   if (policy.repartition) {
-    PartitionSearchOptions search = SearchOptionsForCluster();
-    search.initial_partitions = partition_plan_.MaxPartitions();
-    std::vector<PartitionSearchVariable> targets;
-    if (config_.search_mode == PartitionSearchMode::kPerVariable) {
-      targets = SearchTargets();
-    }
     // Warm start the re-search when the drift is confined to a single variable:
     // the other counts were right at the last verdict and their workloads have not
     // moved, so the descent resumes from the incumbent plan and round 0 sweeps only
     // the drifted coordinate — one sweep instead of a full search.
-    if (!targets.empty()) {
+    if (!query.targets.empty()) {
       int drifted_targets = 0;
-      for (const PartitionSearchVariable& target : targets) {
+      for (const PartitionSearchVariable& target : query.targets) {
         drifted_targets += target.drifted ? 1 : 0;
       }
-      search.warm_start = drifted_targets == 1;
+      query.options.warm_start = drifted_targets == 1;
     }
-    if (config_.planner != nullptr) {
-      // Shared planner path: take its candidate but re-measure it locally at the
-      // measured (unsnapped) alphas, so the hysteresis comparison against
-      // current_seconds is the same measured-vs-measured test the private path runs.
-      PlannerResult answer = config_.planner->Plan(MakePlannerQuery(search, targets));
-      if (!same_layout(VariablesWithPartitions(answer.plan), plan_.variables)) {
-        best_plan = answer.plan;
-        best_seconds = measure_plan(answer.plan);
-      }
-    } else if (!targets.empty()) {
-      // Per-variable re-search at the measured alphas (coordinate descent; the
-      // uniform sweep inside seeds it, unless warm-started). Measured-vs-measured
-      // comparison on the same arena, so the hysteresis test is deterministic and
-      // free of model error.
-      PartitionPlanSearchResult result = SearchPartitionPlan(measure_plan, targets, search);
-      if (!same_layout(VariablesWithPartitions(result.plan), plan_.variables)) {
-        best_plan = result.plan;
-        best_seconds = result.seconds;
-      }
-    } else {
-      auto measure = [&](int partitions) {
-        return measure_plan(PartitionPlan::Uniform(partitions));
-      };
-      PartitionSearchResult result = SearchPartitions(measure, search);
-      PartitionPlan candidate = PartitionPlan::Uniform(result.best_partitions);
-      if (!same_layout(VariablesWithPartitions(candidate), plan_.variables)) {
-        best_plan = candidate;
-        best_seconds = measure(result.best_partitions);
-      }
+    const PartitionPlan candidate = AnswerQuery(query).plan;
+    if (!same_layout(VariablesWithPartitions(candidate), plan_.variables)) {
+      best_plan = candidate;
+      best_seconds = MeasurePlan(query, candidate, sim_arena_.get());
     }
   }
 
@@ -947,9 +814,14 @@ float GraphRunner::Step(const std::vector<FeedMap>& per_rank_feeds) {
   MaybeAdapt();
   if (config_.checkpoint.has_value() && config_.checkpoint->interval_steps > 0 &&
       iterations_ % config_.checkpoint->interval_steps == 0) {
+    // A failed write (full disk, missing directory) costs nothing and stops nothing:
+    // the clock is charged only for a successful write, and the next interval retries.
     const Status status = CheckpointTo(config_.checkpoint->path);
-    PX_CHECK(status.ok()) << "periodic checkpoint to '" << config_.checkpoint->path
-                          << "' failed: " << status.ToString();
+    if (!status.ok()) {
+      PX_LOG(Warning) << "periodic checkpoint to '" << config_.checkpoint->path
+                      << "' failed at step " << iterations_
+                      << ", retrying next interval: " << status.ToString();
+    }
   }
   return loss_sum / static_cast<float>(num_ranks());
 }

@@ -57,6 +57,7 @@ namespace parallax {
 
 class PlannerService;
 struct PlannerQuery;
+struct PlannerVariable;
 
 // Routes every variable whose name matches `pattern` (GlobMatch: '*'/'?') to the
 // registered engine `engine`. Later overrides win; unmatched variables follow the
@@ -244,9 +245,8 @@ class GraphRunner {
   // Simulator configuration shared by the partition search, the training-time timing
   // plane, and the adaptive re-search.
   IterationSimConfig MakeSimConfig() const;
-  // Copy of plan_.variables with the partition layout swapped (the same per-variable
-  // gate Repartition applies): each partitioner-scoped PS-family variable gets the
-  // plan's count for its name, capped at its row count; everything else untouched.
+  // Copy of plan_.variables with the partition layout swapped: ApplyPlanToVariables
+  // over PlannerVariables(), the gate every plan the runner adopts goes through.
   std::vector<VariableSync> VariablesWithPartitions(const PartitionPlan& plan) const;
   // Cost-model estimate of swapping plan_.variables for `to`, placement-aware: both
   // layouts are resolved to effective shard servers (ResolveShardServers), and only
@@ -262,19 +262,24 @@ class GraphRunner {
   double MigrationSecondsBetween(const std::vector<VariableSync>& from, int from_machines,
                                  const std::vector<VariableSync>& to, int to_machines,
                                  const Topology& topology) const;
-  // config_.search with the placement block filled from the cluster topology when
-  // config_.search_placement asks for it (call sites still set initial_partitions).
-  PartitionSearchOptions SearchOptionsForCluster() const;
-  // The variables the per-variable search may re-shard: partitioner-scoped sparse
-  // variables the plan routes to PS (engine overrides respected), with the plan's
-  // current alphas (startup-sampled at initialization, monitor-measured afterwards).
-  // Requires plan_.variables to be routed, which both call sites guarantee.
-  std::vector<PartitionSearchVariable> SearchTargets() const;
-  // Packages this runner's current search inputs (variables, targets, cluster, sim
-  // config, options) as a PlannerService query. The query fully determines the search
-  // outcome; alphas are the plan's current (startup-sampled or monitor-measured) ones.
-  PlannerQuery MakePlannerQuery(const PartitionSearchOptions& options,
-                                const std::vector<PartitionSearchVariable>& targets) const;
+  // A variable the partition search may re-shard: partitioner-scoped, sparse, and
+  // routed to PS by the plan (engine overrides respected). Requires plan_.variables
+  // to be routed. HasSearchTargets: any such variable, i.e. a search has work to do.
+  bool IsSearchTarget(size_t v) const;
+  bool HasSearchTargets() const;
+  // plan_.variables as PlannerVariables: the partitioned flag marks partitioner-scoped
+  // PS-family variables (split up to their row count).
+  std::vector<PlannerVariable> PlannerVariables() const;
+  // This runner's search inputs as one query: variables, per-variable targets (in
+  // PartitionSearchMode::kPerVariable; with warm-start bookkeeping from the monitor),
+  // cluster, sim config, and config_.search with `initial_partitions` and, when
+  // config_.search_placement asks for it, the placement block filled from the cluster
+  // topology. Alphas are the plan's current (startup-sampled or monitor-measured) ones.
+  PlannerQuery MakePlannerQuery(int initial_partitions) const;
+  // The one search helper behind startup, MaybeAdapt and Rescale: the shared planner's
+  // answer when config_.planner is set (introspection fields synthesized from it),
+  // else SearchPlan on the private arena.
+  PartitionPlanSearchResult AnswerQuery(const PlannerQuery& query);
   // Creates the sparsity monitor and attaches it to the engines, when the config asks
   // for adaptive partitioning and the plan has monitorable variables.
   void MaybeStartMonitor();

@@ -164,8 +164,10 @@ std::vector<VariableSync> ApplyPlanToVariables(const std::vector<PlannerVariable
   for (const PlannerVariable& v : variables) {
     VariableSync sync = v.sync;
     if (v.partitioned) {
-      // Same gate as GraphRunner::VariablesWithPartitions: row-capped count, placement
-      // stamped only when its length survives the cap.
+      // Row-capped count. A placement rides along only when its length survives the
+      // cap — a vector sized for a count the cap rejected is stale intent, and
+      // ResolveShardServers would ignore it anyway. Clearing otherwise keeps a
+      // placement from an older plan from outliving the plan that carried it.
       sync.partitions = RowCappedPartitions(plan.For(sync.spec.name), v.rows);
       const std::vector<int>* placement = plan.PlacementFor(sync.spec.name);
       if (placement != nullptr &&
@@ -177,6 +179,37 @@ std::vector<VariableSync> ApplyPlanToVariables(const std::vector<PlannerVariable
     }
     result.push_back(std::move(sync));
   }
+  return result;
+}
+
+double MeasurePlan(const PlannerQuery& query, const PartitionPlan& plan,
+                   SimulationArena* arena) {
+  IterationSimulator sim(query.cluster, ApplyPlanToVariables(query.variables, plan),
+                         query.gpu_compute_seconds, query.compute_chunks, query.sim_config,
+                         arena);
+  return sim.MeasureIterationSeconds(query.options.warmup_iterations,
+                                     query.options.measured_iterations);
+}
+
+PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena* arena) {
+  auto measure = [&](const PartitionPlan& plan) { return MeasurePlan(query, plan, arena); };
+  if (!query.targets.empty()) {
+    return SearchPartitionPlan(measure, query.targets, query.options);
+  }
+  PartitionPlanSearchResult result;
+  result.uniform = SearchPartitions(
+      [&](int partitions) { return measure(PartitionPlan::Uniform(partitions)); },
+      query.options);
+  const int best = result.uniform.best_partitions;
+  result.plan = PartitionPlan::Uniform(best);
+  // The fitted optimum is usually one of the sampled points; its sample is the exact
+  // double a re-measure would return, so only an unsampled optimum costs a simulation.
+  const auto& samples = result.uniform.samples;
+  const auto sampled = std::find_if(samples.begin(), samples.end(),
+                                    [&](const auto& sample) { return sample.first == best; });
+  result.seconds = sampled != samples.end() ? sampled->second : measure(result.plan);
+  result.uniform_seconds = result.seconds;
+  result.evaluations = static_cast<int>(samples.size());
   return result;
 }
 
@@ -227,39 +260,14 @@ PlanCacheKey PlannerService::KeyFor(const PlannerQuery& query) const {
 
 CachedPlan PlannerService::Search(const PlannerQuery& query) {
   ArenaLease lease = AcquireArena();
-  // The same measure the runner's private path uses: a fresh simulator per candidate
-  // layout over the leased arena, so cached schedules and task storage persist across
-  // the whole search. Simulated times are arena-independent, which is what makes the
-  // memoized result valid for every future tenant at this key.
-  auto measure_plan = [&](const PartitionPlan& plan) {
-    IterationSimulator sim(query.cluster, ApplyPlanToVariables(query.variables, plan),
-                           query.gpu_compute_seconds, query.compute_chunks,
-                           query.sim_config, lease.get());
-    return sim.MeasureIterationSeconds(query.options.warmup_iterations,
-                                       query.options.measured_iterations);
-  };
+  const PartitionPlanSearchResult result = SearchPlan(query, lease.get());
   CachedPlan cached;
-  if (!query.targets.empty()) {
-    PartitionPlanSearchResult result =
-        SearchPartitionPlan(measure_plan, query.targets, query.options);
-    cached.plan = result.plan;
-    cached.seconds = result.seconds;
-    cached.uniform_seconds = result.uniform_seconds;
-    cached.best_uniform_partitions = result.uniform.best_partitions;
-    cached.evaluations = result.evaluations;
-    cached.uniform = false;
-  } else {
-    auto measure = [&](int partitions) {
-      return measure_plan(PartitionPlan::Uniform(partitions));
-    };
-    PartitionSearchResult result = SearchPartitions(measure, query.options);
-    cached.plan = PartitionPlan::Uniform(result.best_partitions);
-    cached.seconds = measure(result.best_partitions);
-    cached.uniform_seconds = cached.seconds;
-    cached.best_uniform_partitions = result.best_partitions;
-    cached.evaluations = static_cast<int>(result.samples.size());
-    cached.uniform = true;
-  }
+  cached.plan = result.plan;
+  cached.seconds = result.seconds;
+  cached.uniform_seconds = result.uniform_seconds;
+  cached.best_uniform_partitions = result.uniform.best_partitions;
+  cached.evaluations = result.evaluations;
+  cached.uniform = query.targets.empty();
   return cached;
 }
 

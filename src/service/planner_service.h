@@ -18,7 +18,8 @@
 //      one search per distinct key across the service's shared ThreadPool and fanning
 //      results back out.
 //
-// Each search itself is serial (cost_model.h): one leased arena, one candidate at a
+// Each search itself is SearchPlan (below), the same function a runner without a
+// service calls on its private arena: serial, one leased arena, one candidate at a
 // time. Parallelism comes only from running distinct queries side by side.
 //
 // Runners opt in with RunnerBuilder::WithPlanner(service). The private-arena path
@@ -63,8 +64,7 @@ struct PlannerServiceOptions {
 
 // One variable of the querying model, as the simulator will see it. `sync` carries the
 // routed method and the current layout; for `partitioned` variables the searched plan
-// overrides partitions/placement (row-capped via `rows`), exactly like the runner's
-// private VariablesWithPartitions gate.
+// overrides partitions/placement (row-capped via `rows`; ApplyPlanToVariables).
 struct PlannerVariable {
   VariableSync sync;
   bool partitioned = false;
@@ -72,7 +72,8 @@ struct PlannerVariable {
 };
 
 // Everything a search outcome depends on. Runners build this with
-// GraphRunner::MakePlannerQuery; standalone callers can assemble it directly.
+// GraphRunner::MakePlannerQuery — for their private searches and for the service
+// alike; standalone callers can assemble it directly.
 struct PlannerQuery {
   std::vector<PlannerVariable> variables;
   // Per-variable search targets; empty runs the uniform (single shared P) search.
@@ -152,8 +153,8 @@ class PlannerService {
     CachedPlan result;           // guarded by mu; valid once done
   };
 
-  // Runs the actual (per-variable or uniform) search for a canonicalized query,
-  // serially on a leased arena. Pure compute: takes no service lock.
+  // SearchPlan on a leased arena for a canonicalized query. Pure compute: takes no
+  // service lock.
   CachedPlan Search(const PlannerQuery& query);
 
   const PlannerServiceOptions options_;
@@ -179,10 +180,25 @@ class PlannerService {
 
 // Applies a searched plan to the query's base variables: partitioner-controlled
 // variables get their row-capped count and (length-matching) placement stamped,
-// everything else passes through — the service-side replica of the runner's private
-// VariablesWithPartitions, asserted identical in tests/planner_service_test.cc.
+// everything else passes through. The one plan-to-variables gate: the runner's
+// Repartition, Rescale and adaptive loop apply plans through it too.
 std::vector<VariableSync> ApplyPlanToVariables(const std::vector<PlannerVariable>& variables,
                                                const PartitionPlan& plan);
+
+// Prices one candidate layout: a fresh IterationSimulator over `arena` simulates the
+// query's variables under `plan` and returns the mean measured iteration seconds
+// (query.options' warmup/measured counts). Simulated times do not depend on what the
+// arena cached before, so any arena gives the same double.
+double MeasurePlan(const PlannerQuery& query, const PartitionPlan& plan,
+                   SimulationArena* arena);
+
+// The partition search (paper section 3.2) for one query, serially on `arena`, every
+// candidate priced by MeasurePlan. Non-empty targets run the per-variable
+// SearchPartitionPlan. Empty targets run the uniform SearchPartitions: its sweep is
+// returned in `.uniform`, `plan` is Uniform(best P), and `seconds` ==
+// `uniform_seconds` is the best P's measured time. The one search entry point: the
+// runner calls it on its own arena, PlannerService on a leased one.
+PartitionPlanSearchResult SearchPlan(const PlannerQuery& query, SimulationArena* arena);
 
 }  // namespace parallax
 

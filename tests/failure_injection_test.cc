@@ -210,6 +210,44 @@ TEST(FailureInjectionTest, RestoreOntoLiveRunnerRewindsToTheCheckpoint) {
   std::remove(path.c_str());
 }
 
+TEST(FailureInjectionTest, FailedPeriodicCheckpointDoesNotStopTraining) {
+  // A periodic write into a directory that does not exist fails every time. Training
+  // carries on, nothing counts as written, and — since only a successful write is
+  // charged — losses and clock match a run that never checkpoints.
+  WordLmModel model({.vocab_size = 80, .embedding_dim = 6, .hidden_dim = 10,
+                     .batch_per_rank = 12, .seed = 813});
+  Rng feed_rng(93);
+  std::vector<std::vector<FeedMap>> feed_log;
+  for (int i = 0; i < 6; ++i) {
+    feed_log.push_back(model.TrainShards(2, feed_rng));
+  }
+  auto build = [&](bool checkpoint) {
+    RunnerBuilder builder(model.graph(), model.loss());
+    builder.WithResources(ResourceSpec::Homogeneous(2, 1))
+        .WithLearningRate(0.4f)
+        .WithSearch({.warmup_iterations = 2, .measured_iterations = 2});
+    if (checkpoint) {
+      builder.WithCheckpoint(std::string(::testing::TempDir()) + "/missing-dir/ckpt", 2);
+    }
+    auto runner = builder.Build();
+    EXPECT_TRUE(runner.ok()) << runner.status().ToString();
+    return std::move(runner).value();
+  };
+  auto failing = build(true);
+  auto plain = build(false);
+  std::vector<float> failing_losses;
+  std::vector<float> plain_losses;
+  for (const std::vector<FeedMap>& feeds : feed_log) {
+    failing_losses.push_back(failing->Step(feeds));
+    plain_losses.push_back(plain->Step(feeds));
+  }
+  EXPECT_EQ(failing->iterations(), 6);
+  EXPECT_EQ(failing->checkpoints_written(), 0);
+  EXPECT_EQ(failing->last_checkpoint_step(), -1);
+  EXPECT_EQ(failing_losses, plain_losses);
+  EXPECT_EQ(failing->simulated_seconds(), plain->simulated_seconds());
+}
+
 TEST(FailureInjectionTest, StragglerGpuStretchesEveryIteration) {
   // Synchronous training runs at the pace of the slowest worker: doubling one model's
   // compute on a uniform cluster vs making the whole cluster 2x slower should both

@@ -6,7 +6,8 @@
 //  - N threads issuing the same query coalesce onto ONE simulation; distinct keys
 //    search separately,
 //  - LRU eviction respects the configured capacity,
-//  - ApplyPlanToVariables replicates the runner's row-cap/placement gate,
+//  - ApplyPlanToVariables (the runner's gate too) row-caps counts and drops stale
+//    placements,
 //  - PlanMany answers each query exactly as a per-query Plan would, and the service's
 //    worker count never changes an answer,
 //  - a warm ArenaPool checkout/return and a warmed leased-arena simulation iteration
@@ -55,6 +56,18 @@ void* operator new[](std::size_t size) {
     return p;
   }
   throw std::bad_alloc();
+}
+
+// The nothrow forms too (std::stable_sort's temporary buffer uses them): left to the
+// runtime, ASan would hand out its own block and flag the free() below as a mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
 }
 
 void operator delete(void* p) noexcept { std::free(p); }

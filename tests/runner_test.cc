@@ -74,6 +74,35 @@ TEST(RunnerTest, PartitionSearchRunsForPartitionerScopedVariables) {
   EXPECT_GE(runner.partition_plan().MaxPartitions(), 1);
 }
 
+TEST(RunnerTest, NoSearchWhenNoSparseVariableIsRoutedToPs) {
+  // Routing every variable to AllReduce leaves nothing for the partitioner to split:
+  // the startup search must not run, and the session must train exactly like one with
+  // the search switched off.
+  auto run = [](bool auto_partition) {
+    WordLmModel model(SmallLm());
+    ParallaxConfig config = FastConfig();
+    config.engine_overrides = {{"*", "ar"}};
+    config.auto_partition = auto_partition;
+    GraphRunner runner(model.graph(), model.loss(), ResourceSpec::Homogeneous(2, 2),
+                       config);
+    Rng rng(69);
+    std::vector<float> losses;
+    for (int i = 0; i < 5; ++i) {
+      losses.push_back(runner.Step(model.TrainShards(4, rng)));
+    }
+    EXPECT_FALSE(runner.partition_search().has_value());
+    EXPECT_FALSE(runner.plan_search().has_value());
+    for (const VariableSync& sync : runner.assignment()) {
+      EXPECT_NE(sync.method, SyncMethod::kPs) << sync.spec.name;
+    }
+    return std::make_pair(losses, runner.simulated_seconds());
+  };
+  const auto [searched_losses, searched_seconds] = run(true);
+  const auto [manual_losses, manual_seconds] = run(false);
+  EXPECT_EQ(searched_losses, manual_losses);
+  EXPECT_EQ(searched_seconds, manual_seconds);
+}
+
 TEST(RunnerTest, ManualPartitionsRespected) {
   WordLmModel model(SmallLm());
   ParallaxConfig config = FastConfig();
